@@ -11,8 +11,20 @@ type state =
     mutable instr_count : int;
     mutable load_count : int;
     mutable store_count : int;
-    call_stack : int Stack.t
+    call_stack : int Stack.t;
+    targets : int array
   }
+
+(* Label targets resolved once per image, like the timing model's
+   [s_target]: a taken branch, jump or call is then an array read. *)
+let target_of image = function
+  | Instr.Jump l
+  | Instr.Call l
+  | Instr.Branch { target = l; _ }
+  | Instr.Predict { target = l; _ }
+  | Instr.Resolve { target = l; _ } ->
+    Layout.resolve image l
+  | _ -> -1
 
 let init image =
   { regs = Array.make Reg.count 0;
@@ -22,7 +34,8 @@ let init image =
     instr_count = 0;
     load_count = 0;
     store_count = 0;
-    call_stack = Stack.create ()
+    call_stack = Stack.create ();
+    targets = Array.map (target_of image) image.Layout.code
   }
 
 type hooks =
@@ -34,6 +47,8 @@ let no_hooks =
   { on_branch = (fun ~id:_ ~pc:_ ~taken:_ -> ());
     on_resolve = (fun ~id:_ ~pc:_ ~mispredicted:_ ~taken:_ -> ())
   }
+
+let never_predict ~pc:_ ~id:_ = false
 
 let operand_value regs = function
   | Instr.Reg r -> regs.(Reg.index r)
@@ -50,73 +65,74 @@ let store_word state ~addr v =
     raise (Fault (Printf.sprintf "store to invalid address %d" addr))
   else state.mem.(addr / 8) <- v
 
-let step ?(hooks = no_hooks) ?(predict_policy = fun ~pc:_ ~id:_ -> false) image
-    state =
-  if not state.halted then begin
-    let code = image.Layout.code in
-    if state.pc < 0 || state.pc >= Array.length code then
-      raise (Fault (Printf.sprintf "pc %d out of code bounds" state.pc));
-    let regs = state.regs in
-    let set r v = regs.(Reg.index r) <- v in
-    let get r = regs.(Reg.index r) in
-    let target_pc l = Layout.resolve image l in
-    let pc = state.pc in
-    state.instr_count <- state.instr_count + 1;
-    let next = pc + 1 in
-    (match code.(pc) with
-    | Instr.Nop -> state.pc <- next
-    | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
-      set dst (Instr.eval_alu op (get src1) (operand_value regs src2));
-      state.pc <- next
-    | Instr.Mov { dst; src } ->
-      set dst (operand_value regs src);
-      state.pc <- next
-    | Instr.Load { dst; base; offset; speculative } ->
-      state.load_count <- state.load_count + 1;
-      set dst (load_word state ~addr:(get base + offset) ~speculative);
-      state.pc <- next
-    | Instr.Store { src; base; offset } ->
-      state.store_count <- state.store_count + 1;
-      store_word state ~addr:(get base + offset) (get src);
-      state.pc <- next
-    | Instr.Cmp { op; dst; src1; src2 } ->
-      set dst
-        (Bool.to_int (Instr.eval_cmp op (get src1) (operand_value regs src2)));
-      state.pc <- next
-    | Instr.Cmov { on; cond; dst; src } ->
-      if (get cond <> 0) = on then set dst (operand_value regs src);
-      state.pc <- next
-    | Instr.Branch { on; src; target; id } ->
-      let taken = (get src <> 0) = on in
-      hooks.on_branch ~id ~pc ~taken;
-      state.pc <- (if taken then target_pc target else next)
-    | Instr.Jump target -> state.pc <- target_pc target
-    | Instr.Call target ->
-      Stack.push next state.call_stack;
-      state.pc <- target_pc target
-    | Instr.Ret ->
-      (match Stack.pop_opt state.call_stack with
-      | Some ra -> state.pc <- ra
-      | None -> raise (Fault "ret with empty call stack"))
-    | Instr.Predict { target; id } ->
-      state.pc <- (if predict_policy ~pc ~id then target_pc target else next)
-    | Instr.Resolve { on; src; target; predicted_taken; id } ->
-      let taken = (get src <> 0) = on in
-      let mispredicted = taken <> predicted_taken in
-      hooks.on_resolve ~id ~pc ~mispredicted ~taken;
-      state.pc <- (if mispredicted then target_pc target else next)
-    | Instr.Halt -> state.halted <- true)
-  end
+(* The one dispatch path behind [step] and [run]: no closures, no
+   options, no label lookups, so only a call's stack push allocates. *)
+let exec hooks predict_policy code state =
+  if state.pc < 0 || state.pc >= Array.length code then
+    raise (Fault (Printf.sprintf "pc %d out of code bounds" state.pc));
+  let regs = state.regs in
+  let pc = state.pc in
+  state.instr_count <- state.instr_count + 1;
+  let next = pc + 1 in
+  match code.(pc) with
+  | Instr.Nop -> state.pc <- next
+  | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
+    regs.(Reg.index dst) <-
+      Instr.eval_alu op regs.(Reg.index src1) (operand_value regs src2);
+    state.pc <- next
+  | Instr.Mov { dst; src } ->
+    regs.(Reg.index dst) <- operand_value regs src;
+    state.pc <- next
+  | Instr.Load { dst; base; offset; speculative } ->
+    state.load_count <- state.load_count + 1;
+    regs.(Reg.index dst) <-
+      load_word state ~addr:(regs.(Reg.index base) + offset) ~speculative;
+    state.pc <- next
+  | Instr.Store { src; base; offset } ->
+    state.store_count <- state.store_count + 1;
+    store_word state ~addr:(regs.(Reg.index base) + offset)
+      regs.(Reg.index src);
+    state.pc <- next
+  | Instr.Cmp { op; dst; src1; src2 } ->
+    regs.(Reg.index dst) <-
+      Bool.to_int
+        (Instr.eval_cmp op regs.(Reg.index src1) (operand_value regs src2));
+    state.pc <- next
+  | Instr.Cmov { on; cond; dst; src } ->
+    if (regs.(Reg.index cond) <> 0) = on then
+      regs.(Reg.index dst) <- operand_value regs src;
+    state.pc <- next
+  | Instr.Branch { on; src; target = _; id } ->
+    let taken = (regs.(Reg.index src) <> 0) = on in
+    hooks.on_branch ~id ~pc ~taken;
+    state.pc <- (if taken then state.targets.(pc) else next)
+  | Instr.Jump _ -> state.pc <- state.targets.(pc)
+  | Instr.Call _ ->
+    Stack.push next state.call_stack;
+    state.pc <- state.targets.(pc)
+  | Instr.Ret ->
+    if Stack.is_empty state.call_stack then
+      raise (Fault "ret with empty call stack");
+    state.pc <- Stack.pop state.call_stack
+  | Instr.Predict { target = _; id } ->
+    state.pc <- (if predict_policy ~pc ~id then state.targets.(pc) else next)
+  | Instr.Resolve { on; src; target = _; predicted_taken; id } ->
+    let taken = (regs.(Reg.index src) <> 0) = on in
+    let mispredicted = taken <> predicted_taken in
+    hooks.on_resolve ~id ~pc ~mispredicted ~taken;
+    state.pc <- (if mispredicted then state.targets.(pc) else next)
+  | Instr.Halt -> state.halted <- true
 
-let run ?hooks ?predict_policy ?(max_instrs = 100_000_000) image =
+let step ?(hooks = no_hooks) ?(predict_policy = never_predict) image state =
+  if not state.halted then exec hooks predict_policy image.Layout.code state
+
+let run ?(hooks = no_hooks) ?(predict_policy = never_predict)
+    ?(max_instrs = 100_000_000) image =
   let state = init image in
-  let rec go () =
-    if (not state.halted) && state.instr_count < max_instrs then begin
-      step ?hooks ?predict_policy image state;
-      go ()
-    end
-  in
-  go ();
+  let code = image.Layout.code in
+  while (not state.halted) && state.instr_count < max_instrs do
+    exec hooks predict_policy code state
+  done;
   state
 
 let fnv_fold acc v =

@@ -21,11 +21,16 @@ type state =
     mutable instr_count : int;
     mutable load_count : int;
     mutable store_count : int;
-    call_stack : int Stack.t
+    call_stack : int Stack.t;
+    targets : int array
+        (** per pc: the instruction's label target pc, resolved once by
+            {!init}; -1 for instructions without a label *)
   }
 
 val init : Layout.image -> state
-(** Fresh state at the image entry with segment-initialised memory. *)
+(** Fresh state at the image entry with segment-initialised memory and
+    the image's label targets resolved. Raises [Not_found] for a label
+    the image does not define. *)
 
 type hooks =
   { on_branch : id:int -> pc:int -> taken:bool -> unit;
@@ -43,7 +48,8 @@ val step :
   Layout.image ->
   state ->
   unit
-(** Execute one instruction. No-op when halted. *)
+(** Execute one instruction. No-op when halted. [state] must come from
+    {!init} on the same image. *)
 
 val run :
   ?hooks:hooks ->

@@ -129,43 +129,36 @@ type site_agg =
   }
 
 let by_site t =
-  (* site ids are small and dense (profiling-assigned); a growable array
-     keyed by id keeps the output sorted for free *)
-  let n = ref 8 in
-  let tbl = ref (Array.make !n None) in
-  for pc = 0 to length t - 1 do
+  (* one row per executed branch/resolve pc, sorted by site, then folded:
+     site ids are sparse (loop latches sit at 900_000+), so no table is
+     keyed by id *)
+  let rows = ref [] in
+  for pc = length t - 1 downto 0 do
     if t.execs.(pc) > 0 then begin
       let site = site_of t.code.(pc) in
-      if site >= 0 then begin
-        while site >= !n do
-          let b = Array.make (2 * !n) None in
-          Array.blit !tbl 0 b 0 !n;
-          tbl := b;
-          n := 2 * !n
-        done;
-        let prev =
-          match !tbl.(site) with
-          | Some a -> a
-          | None ->
-            { sa_site = site;
-              sa_execs = 0;
-              sa_mispredicts = 0;
-              sa_recovery = 0;
-              sa_lat_sum = 0
-            }
-        in
-        !tbl.(site) <-
-          Some
-            { prev with
-              sa_execs = prev.sa_execs + t.execs.(pc);
-              sa_mispredicts = prev.sa_mispredicts + t.mispredicts.(pc);
-              sa_recovery = prev.sa_recovery + t.recovery_cycles.(pc);
-              sa_lat_sum = prev.sa_lat_sum + t.lat_sum.(pc)
-            }
-      end
+      if site >= 0 then rows := (site, pc) :: !rows
     end
   done;
-  Array.to_list !tbl |> List.filter_map Fun.id
+  let add aggs (site, pc) =
+    match aggs with
+    | a :: rest when a.sa_site = site ->
+      { a with
+        sa_execs = a.sa_execs + t.execs.(pc);
+        sa_mispredicts = a.sa_mispredicts + t.mispredicts.(pc);
+        sa_recovery = a.sa_recovery + t.recovery_cycles.(pc);
+        sa_lat_sum = a.sa_lat_sum + t.lat_sum.(pc)
+      }
+      :: rest
+    | aggs ->
+      { sa_site = site;
+        sa_execs = t.execs.(pc);
+        sa_mispredicts = t.mispredicts.(pc);
+        sa_recovery = t.recovery_cycles.(pc);
+        sa_lat_sum = t.lat_sum.(pc)
+      }
+      :: aggs
+  in
+  List.rev (List.fold_left add [] (List.sort compare !rows))
 
 (* ---- JSON ------------------------------------------------------------- *)
 

@@ -349,10 +349,10 @@ let skip_stalls st ~limit =
         stats.Stats.head_stall_cycles <- stats.Stats.head_stall_cycles + k;
         stats.Stats.operand_stall_cycles <-
           stats.Stats.operand_stall_cycles + k;
-        let site = st.c_site.(h) in
-        if site >= 0 then
+        let slot = st.c_site.(h) in
+        if slot >= 0 then
           for _ = 1 to k do
-            Stats.add_site_stall stats ~site
+            Stats.add_site_stall stats ~slot
           done;
         stats.Stats.dbb_occupancy_sum <-
           stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);

@@ -178,12 +178,13 @@ let fetch_exec st pc =
       (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
       steer_taken st ~pc ~target:predicted;
       false)
-  | Instr.Branch { on; src; target = _; id } as i ->
+  | Instr.Branch { on; src; _ } as i ->
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let pred, meta =
       st.predictor.Predictor.predict ~pc ~outcome:actual_taken
     in
-    let target_pc = st.static.(pc).s_target in
+    let si = st.static.(pc) in
+    let target_pc = si.s_target in
     let mispredict = pred <> actual_taken in
     let checkpoint =
       if mispredict then Some (Spec_state.make_checkpoint st) else None
@@ -192,7 +193,7 @@ let fetch_exec st pc =
     st.c_kind.(h) <- ck_branch;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if actual_taken then target_pc else next);
-    st.c_site.(h) <- id;
+    st.c_site.(h) <- si.s_slot;
     st.c_meta.(h) <- meta;
     st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
@@ -234,7 +235,7 @@ let fetch_exec st pc =
         true
       end
     end
-  | Instr.Resolve { on; src; target = _; predicted_taken; id } as i ->
+  | Instr.Resolve { on; src; predicted_taken; _ } as i ->
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let mispredict = actual_taken <> predicted_taken in
     let slot = Dbb.claim_newest st.dbb in
@@ -244,8 +245,9 @@ let fetch_exec st pc =
     let h = enqueue_h st ~addr:0 pc i in
     st.c_kind.(h) <- ck_resolve;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
-    st.c_redirect.(h) <- (if mispredict then st.static.(pc).s_target else next);
-    st.c_site.(h) <- id;
+    let si = st.static.(pc) in
+    st.c_redirect.(h) <- (if mispredict then si.s_target else next);
+    st.c_site.(h) <- si.s_slot;
     if slot >= 0 then begin
       st.c_meta.(h) <- Dbb.slot_meta st.dbb slot;
       st.c_meta_pc.(h) <- Dbb.slot_pc st.dbb slot

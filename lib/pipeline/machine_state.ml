@@ -52,7 +52,8 @@ type static_info =
     s_latency : int;  (* base issue latency under the run's config *)
     s_mem_kind : int;  (* 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
-    s_target : int  (* resolved label target pc; -1 when none *)
+    s_target : int;  (* resolved label target pc; -1 when none *)
+    s_slot : int  (* branch/resolve site's {!Stats.slot}; -1 otherwise *)
   }
 
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
@@ -292,7 +293,7 @@ type t =
     mutable c_kind : int array;  (* ck_none / ck_branch / ck_resolve / ck_ret *)
     mutable c_mispredict : int array;  (* 0 / 1 *)
     mutable c_redirect : int array;  (* correct-path pc, used on mispredict *)
-    mutable c_site : int array;  (* branch/resolve site id, -1 otherwise *)
+    mutable c_site : int array;  (* branch/resolve site slot, -1 otherwise *)
     mutable c_meta_pc : int array;  (* pc whose predictor entry to train *)
     mutable c_actual : int array;  (* actual direction, 0 / 1 *)
     mutable c_dbb_slot : int array;  (* -1 when none *)
@@ -344,7 +345,11 @@ type t =
     mutable fetch_frozen : bool
   }
 
-let static_of (cfg : Config.t) image instr =
+let site_id = function
+  | Instr.Branch { id; _ } | Instr.Resolve { id; _ } when id >= 0 -> id
+  | _ -> -1
+
+let static_of (cfg : Config.t) image stats instr =
   let dst =
     match Instr.defs instr with r :: _ -> Reg.index r | [] -> -1
   in
@@ -380,7 +385,8 @@ let static_of (cfg : Config.t) image instr =
     s_latency = latency;
     s_mem_kind = mem_kind;
     s_is_halt = instr = Instr.Halt;
-    s_target = target
+    s_target = target;
+    s_slot = (match site_id instr with -1 -> -1 | id -> Stats.slot stats id)
   }
 
 let create ~config ?on_event ?acct image =
@@ -391,6 +397,13 @@ let create ~config ?on_event ?acct image =
     invalid_arg "Machine_state.create: acct tables sized for different code"
   | _ -> ());
   let mem = Program.initial_memory image.Layout.program in
+  let stats =
+    Stats.create
+      ~sites:
+        (Array.fold_left
+           (fun acc i -> match site_id i with -1 -> acc | id -> id :: acc)
+           [] code)
+  in
   let c = cfg.Config.cache in
   let horizon =
     c.Hierarchy.l1_latency + c.Hierarchy.l2_latency + c.Hierarchy.l3_latency
@@ -400,8 +413,8 @@ let create ~config ?on_event ?acct image =
     image;
     code;
     code_len = Array.length code;
-    static = Array.map (static_of cfg image) code;
-    stats = Stats.create ();
+    static = Array.map (static_of cfg image stats) code;
+    stats;
     hier = Hierarchy.create ~config:cfg.Config.cache ();
     predictor = Kind.create cfg.Config.predictor;
     btb = Btb.create ~entries:cfg.Config.btb_entries ();

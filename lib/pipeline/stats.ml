@@ -27,16 +27,20 @@ type t =
     mutable icache_misses : int;
     mutable runahead_prefetches : int;
     mutable icache_misses_in_shadow : int;
-    (* Per-site tables as growable arrays indexed by site id: the hot
-       recorders (called on every control-instruction issue) must not
-       hash or allocate. A site is "present" when its counter is > 0,
-       matching the old hash-table behaviour. *)
-    mutable site_stalls : int array;
-    mutable site_wait_execs : int array;
-    mutable site_wait_cycles : int array
+    (* Per-site tables indexed by dense slot: slot [k] is site id
+       [site_ids.(k)], and the ids ascend. The hot recorders (called on
+       every control-instruction issue) must not hash or allocate, and
+       the tables are sized by the image's sites, not its largest id. A
+       site is "present" when its counter is > 0. *)
+    site_ids : int array;
+    site_stalls : int array;
+    site_wait_execs : int array;
+    site_wait_cycles : int array
   }
 
-let create () =
+let create ~sites =
+  let site_ids = Array.of_list (List.sort_uniq compare sites) in
+  let n = Array.length site_ids in
   { cycles = 0;
     fetched = 0;
     issued = 0;
@@ -65,20 +69,22 @@ let create () =
     icache_misses = 0;
     runahead_prefetches = 0;
     icache_misses_in_shadow = 0;
-    site_stalls = Array.make 64 0;
-    site_wait_execs = Array.make 64 0;
-    site_wait_cycles = Array.make 64 0
+    site_ids;
+    site_stalls = Array.make n 0;
+    site_wait_execs = Array.make n 0;
+    site_wait_cycles = Array.make n 0
   }
 
-let grown a site =
-  let n = Array.length a in
-  if site < n then a
-  else begin
-    let rec cap c = if c > site then c else cap (2 * c) in
-    let b = Array.make (cap (2 * n)) 0 in
-    Array.blit a 0 b 0 n;
-    b
-  end
+let slot t site =
+  let ids = t.site_ids in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let v = ids.(mid) in
+      if v = site then mid else if v < site then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ids)
 
 let retired t = t.issued - t.squashed_issued
 
@@ -96,27 +102,24 @@ let dbb_avg_occupancy t =
   else Float.of_int t.dbb_occupancy_sum /. Float.of_int t.dbb_samples
 
 let site_stall_cycles t site =
-  if site >= 0 && site < Array.length t.site_stalls then t.site_stalls.(site)
-  else 0
+  let k = slot t site in
+  if k >= 0 then t.site_stalls.(k) else 0
 
-let add_site_stall t ~site =
-  t.site_stalls <- grown t.site_stalls site;
-  t.site_stalls.(site) <- t.site_stalls.(site) + 1
+let add_site_stall t ~slot =
+  t.site_stalls.(slot) <- t.site_stalls.(slot) + 1
 
-let add_site_wait t ~site ~cycles =
-  t.site_wait_execs <- grown t.site_wait_execs site;
-  t.site_wait_cycles <- grown t.site_wait_cycles site;
-  t.site_wait_execs.(site) <- t.site_wait_execs.(site) + 1;
-  t.site_wait_cycles.(site) <- t.site_wait_cycles.(site) + cycles
+let add_site_wait t ~slot ~cycles =
+  t.site_wait_execs.(slot) <- t.site_wait_execs.(slot) + 1;
+  t.site_wait_cycles.(slot) <- t.site_wait_cycles.(slot) + cycles
+
+let slot_wait_avg t k =
+  if t.site_wait_execs.(k) > 0 then
+    Float.of_int t.site_wait_cycles.(k) /. Float.of_int t.site_wait_execs.(k)
+  else 0.0
 
 let site_wait_avg t site =
-  if site >= 0
-     && site < Array.length t.site_wait_execs
-     && t.site_wait_execs.(site) > 0
-  then
-    Float.of_int t.site_wait_cycles.(site)
-    /. Float.of_int t.site_wait_execs.(site)
-  else 0.0
+  let k = slot t site in
+  if k >= 0 then slot_wait_avg t k else 0.0
 
 (* ---- field descriptors ------------------------------------------------ *)
 
@@ -192,37 +195,28 @@ let pp ppf t =
 
 (* The JSON mirror of [pp]: every raw counter plus the derived rates, so
    machine consumers never have to re-derive or scrape text. Tables are
-   sorted by site id for deterministic output. *)
+   sorted by site id for deterministic output: slots ascend by id. *)
 let to_json ?acct ?sampled t =
   let open Bv_obs.Json in
   let field = function
     | I (name, get) -> (name, Int (get t))
     | F (name, get) -> (name, float (get t))
   in
-  (* ascending array index = sorted by site id *)
-  let site_stalls =
+  let present counts row =
     List.concat
-      (List.init (Array.length t.site_stalls) (fun site ->
-           if t.site_stalls.(site) > 0 then
-             [ Obj
-                 [ ("site", Int site);
-                   ("stall_cycles", Int t.site_stalls.(site))
-                 ]
-             ]
+      (List.init (Array.length t.site_ids) (fun k ->
+           if counts.(k) > 0 then [ Obj (("site", Int t.site_ids.(k)) :: row k) ]
            else []))
   in
+  let site_stalls =
+    present t.site_stalls (fun k -> [ ("stall_cycles", Int t.site_stalls.(k)) ])
+  in
   let site_waits =
-    List.concat
-      (List.init (Array.length t.site_wait_execs) (fun site ->
-           if t.site_wait_execs.(site) > 0 then
-             [ Obj
-                 [ ("site", Int site);
-                   ("execs", Int t.site_wait_execs.(site));
-                   ("backlog_cycles", Int t.site_wait_cycles.(site));
-                   ("avg_backlog", float (site_wait_avg t site))
-                 ]
-             ]
-           else []))
+    present t.site_wait_execs (fun k ->
+        [ ("execs", Int t.site_wait_execs.(k));
+          ("backlog_cycles", Int t.site_wait_cycles.(k));
+          ("avg_backlog", float (slot_wait_avg t k))
+        ])
   in
   Obj
     (("schema_version", Int Bv_obs.Json.schema_version)

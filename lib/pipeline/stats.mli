@@ -30,20 +30,29 @@ type t =
     mutable runahead_prefetches : int;
     mutable icache_misses_in_shadow : int;
         (** I$ misses within the redirect shadow of a misprediction (§6.1) *)
-    mutable site_stalls : int array;
-        (** branch/resolve site id -> cycles the issue head stalled on it;
-            indexed by site, grown on demand, 0 = never stalled. Use the
-            accessors below — the arrays are replaced when they grow. *)
-    mutable site_wait_execs : int array;  (** site id -> executions *)
-    mutable site_wait_cycles : int array
-        (** site id -> summed backlog cycles: how far behind the front end
+    site_ids : int array;
+        (** the image's distinct branch/resolve site ids, ascending: slot
+            [k] of the three tables below is site [site_ids.(k)]. The
+            tables are sized by the sites, not by the largest id. *)
+    site_stalls : int array;
+        (** slot -> cycles the issue head stalled on the site; 0 = never
+            stalled *)
+    site_wait_execs : int array;  (** slot -> executions *)
+    site_wait_cycles : int array
+        (** slot -> summed backlog cycles: how far behind the front end
             the machine was running when the site's condition finally
             became ready — an issue-backlog indicator, not a pure
             condition latency (queueing and the condition are confounded
             in an in-order backlog) *)
   }
 
-val create : unit -> t
+val create : sites:int list -> t
+(** Zeroed counters with per-site tables for [sites] (any order,
+    duplicates allowed). *)
+
+val slot : t -> int -> int
+(** The dense slot of a site id (binary search over [site_ids]); -1 when
+    the site is not in the table. *)
 
 val retired : t -> int
 (** Instructions that issued and were never squashed. *)
@@ -58,13 +67,17 @@ val mppki : t -> float
 val dbb_avg_occupancy : t -> float
 
 val site_stall_cycles : t -> int -> int
+(** Stall cycles charged to a site id (0 for an unknown site). *)
 
-val add_site_stall : t -> site:int -> unit
+val add_site_stall : t -> slot:int -> unit
+(** Charge one stall cycle to a slot (see {!slot}). *)
 
-val add_site_wait : t -> site:int -> cycles:int -> unit
+val add_site_wait : t -> slot:int -> cycles:int -> unit
+(** Record one execution of a slot's site with its backlog cycles. *)
 
 val site_wait_avg : t -> int -> float
-(** Average backlog cycles for a site (0 if never executed). *)
+(** Average backlog cycles for a site id (0 if unknown or never
+    executed). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -215,6 +215,67 @@ let test_digests () =
   Alcotest.(check bool) "mem digest differs" true
     (Interp.mem_digest s1 <> Interp.mem_digest s3)
 
+(* [run] and a loop of [step] share one dispatch path; check they agree
+   over the fuzz corpus, plain and with every shape-valid site
+   decomposed (so [on_resolve] and [predict_policy] fire too). *)
+let test_run_matches_step () =
+  let trace () =
+    let log = ref [] in
+    let hooks =
+      { Interp.on_branch =
+          (fun ~id ~pc ~taken -> log := (0, id, pc, taken, false) :: !log);
+        on_resolve =
+          (fun ~id ~pc ~mispredicted ~taken ->
+            log := (1, id, pc, taken, mispredicted) :: !log)
+      }
+    in
+    (log, hooks)
+  in
+  let predict_policy ~pc ~id = (pc + id) land 1 = 0 in
+  let max_instrs = 5_000_000 in
+  let resolves = ref 0 in
+  let check name image =
+    let run_log, hooks = trace () in
+    let a = Interp.run ~hooks ~predict_policy ~max_instrs image in
+    let step_log, hooks = trace () in
+    let b = Interp.init image in
+    while (not b.Interp.halted) && b.Interp.instr_count < max_instrs do
+      Interp.step ~hooks ~predict_policy image b
+    done;
+    Alcotest.(check bool) (name ^ " halted") true a.Interp.halted;
+    Alcotest.(check int) (name ^ " digest") (Interp.arch_digest a)
+      (Interp.arch_digest b);
+    Alcotest.(check int) (name ^ " regs") (Interp.reg_digest a)
+      (Interp.reg_digest b);
+    Alcotest.(check int) (name ^ " instrs") a.Interp.instr_count
+      b.Interp.instr_count;
+    Alcotest.(check int) (name ^ " loads") a.Interp.load_count
+      b.Interp.load_count;
+    Alcotest.(check int) (name ^ " stores") a.Interp.store_count
+      b.Interp.store_count;
+    Alcotest.(check bool) (name ^ " hook trace") true (!run_log = !step_log);
+    List.iter (fun (kind, _, _, _, _) -> if kind = 1 then incr resolves) !run_log
+  in
+  for seed = 0 to 39 do
+    let prog = Bv_workloads.Fuzzgen.generate ~seed in
+    let image = Layout.program (Program.copy prog) in
+    check (Printf.sprintf "seed %d" seed) image;
+    let profile =
+      Bv_profile.Profile.collect
+        ~predictor:(Bv_bpred.Kind.create Bv_bpred.Kind.Always_not_taken)
+        image
+    in
+    let candidates =
+      (Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0 ~profile prog)
+        .Vanguard.Select.candidates
+    in
+    let decomposed =
+      (Vanguard.Transform.apply ~candidates prog).Vanguard.Transform.program
+    in
+    check (Printf.sprintf "seed %d decomposed" seed) (Layout.program decomposed)
+  done;
+  Alcotest.(check bool) "resolves exercised" true (!resolves > 0)
+
 let () =
   Alcotest.run "bv_exec"
     [ ( "basics",
@@ -239,5 +300,9 @@ let () =
       ( "limits",
         [ Alcotest.test_case "max instrs" `Quick test_max_instrs;
           Alcotest.test_case "digests" `Quick test_digests
+        ] );
+      ( "dispatch",
+        [ Alcotest.test_case "run = step loop (fuzz corpus)" `Quick
+            test_run_matches_step
         ] )
     ]

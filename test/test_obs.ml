@@ -92,7 +92,7 @@ let test_accessors () =
 (* --------------------------------------------------------- stats golden *)
 
 let test_stats_golden () =
-  let s = Stats.create () in
+  let s = Stats.create ~sites:[ 7 ] in
   s.Stats.cycles <- 100;
   s.Stats.fetched <- 60;
   s.Stats.issued <- 54;
@@ -120,10 +120,11 @@ let test_stats_golden () =
   s.Stats.dbb_occupancy_sum <- 30;
   s.Stats.dbb_samples <- 10;
   s.Stats.dbb_max_occupancy <- 4;
-  Stats.add_site_stall s ~site:7;
-  Stats.add_site_stall s ~site:7;
-  Stats.add_site_wait s ~site:7 ~cycles:3;
-  Stats.add_site_wait s ~site:7 ~cycles:5;
+  let slot = Stats.slot s 7 in
+  Stats.add_site_stall s ~slot;
+  Stats.add_site_stall s ~slot;
+  Stats.add_site_wait s ~slot ~cycles:3;
+  Stats.add_site_wait s ~slot ~cycles:5;
   (* The schema contract consumed by external tooling: field names, order
      and derived-value formatting must stay stable across refactors. *)
   let expected =

@@ -475,6 +475,90 @@ let test_site_wait_measured () =
   Alcotest.(check (float 0.001)) "unknown site" 0.0
     (Stats.site_wait_avg res.Machine.stats 999)
 
+(* A suite benchmark at small scale: [Gen] gives its loop latches site
+   ids >= 900_000, so per-site tables keyed by raw id would run to
+   megabytes per run. They are sized by the image's sites instead. *)
+let suite_images () =
+  let spec = Option.get (Bv_workloads.Suites.find "mcf") in
+  let b = Bv_harness.Runner.prepare { spec with Bv_workloads.Spec.reps = 2 } in
+  [ ("mcf baseline", Bv_harness.Runner.baseline_program b ~input:1);
+    ("mcf decomposed", Bv_harness.Runner.experimental_program b ~input:1)
+  ]
+
+(* A loop whose branch tests a freshly loaded word directly: the branch
+   itself heads the issue queue operand-blocked, so its site collects
+   stall cycles, on the compiled path through [Compile.skip_stalls].
+   (Suite branches test a compare, which never leaves them blocked.) *)
+let load_fed_branch_image () =
+  let n = 64 in
+  let stream = Array.init n (fun k -> if k = n - 1 then 0 else 1) in
+  image ~mem_words:128
+    ~segments:[ { Program.base = 0; contents = stream } ]
+    [ Proc.make ~name:"m"
+        [ block ~body:[ movi 1 0 ] "e" (Term.Jump "loop");
+          block
+            ~body:
+              [ Instr.Alu { op = Instr.Shl; dst = r 2; src1 = r 1; src2 = Instr.Imm 3 };
+                Instr.Load { dst = r 5; base = r 2; offset = 0; speculative = false };
+                addi 1 1 1
+              ]
+            "loop"
+            (Term.Branch
+               { on = true; src = r 5; taken = "loop"; not_taken = "out"; id = 950_000 });
+          block "out" Term.Halt
+        ]
+    ]
+
+let reported_sites section json =
+  List.map
+    (fun row ->
+      match Bv_obs.Json.member "site" row with
+      | Some (Bv_obs.Json.Int id) -> id
+      | _ -> Alcotest.fail "site row without an id")
+    (Bv_obs.Json.to_list (Option.get (Bv_obs.Json.member section json)))
+
+(* Runs [img] compiled and interpreted; checks the stats stay small,
+   report the image's own sparse ids in order, and agree byte for byte. *)
+let check_sparse_sites name img =
+  let image_sites =
+    Array.fold_left
+      (fun acc i ->
+        match i with
+        | Instr.Branch { id; _ } | Instr.Resolve { id; _ } -> id :: acc
+        | _ -> acc)
+      [] img.Layout.code
+  in
+  let sparse ids = List.exists (fun id -> id >= 900_000) ids in
+  Alcotest.(check bool) (name ^ ": image has sparse ids") true
+    (sparse image_sites);
+  let compiled = Machine.run ~compile:true ~config:Config.four_wide img in
+  let interpreted = Machine.run ~compile:false ~config:Config.four_wide img in
+  let stats = compiled.Machine.stats in
+  let bytes = String.length (Marshal.to_string stats []) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: marshalled stats %d bytes < 16 KB" name bytes)
+    true (bytes < 16 * 1024);
+  let waits = reported_sites "site_waits" (Stats.to_json stats) in
+  Alcotest.(check bool) (name ^ ": waits report sparse ids") true
+    (sparse waits);
+  Alcotest.(check bool) (name ^ ": waits are image sites, ascending") true
+    (List.for_all (fun id -> List.mem id image_sites) waits
+    && List.sort_uniq compare waits = waits);
+  Alcotest.(check string) (name ^ ": compiled = interpreted")
+    (Bv_obs.Json.to_string (Machine.result_to_json interpreted))
+    (Bv_obs.Json.to_string (Machine.result_to_json compiled));
+  stats
+
+let test_sparse_site_stats () =
+  List.iter
+    (fun (name, img) -> ignore (check_sparse_sites name img))
+    (suite_images ());
+  let stats = check_sparse_sites "load-fed branch" (load_fed_branch_image ()) in
+  Alcotest.(check (list int)) "load-fed branch: stall row" [ 950_000 ]
+    (reported_sites "site_stalls" (Stats.to_json stats));
+  Alcotest.(check bool) "load-fed branch: stall cycles" true
+    (Stats.site_stall_cycles stats 950_000 > 0)
+
 let test_stats_accounting () =
   let res = run (straight_line [ movi 1 1; movi 2 2 ]) in
   let s = res.Machine.stats in
@@ -514,7 +598,8 @@ let () =
         ] );
       ( "stats",
         [ Alcotest.test_case "accounting" `Quick test_stats_accounting;
-          Alcotest.test_case "site waits" `Quick test_site_wait_measured
+          Alcotest.test_case "site waits" `Quick test_site_wait_measured;
+          Alcotest.test_case "sparse site ids" `Quick test_sparse_site_stats
         ] );
       ( "trace", [ Alcotest.test_case "rows" `Quick test_trace_rows ] )
     ]
