@@ -15,11 +15,11 @@ let push t pc =
   t.depth <- min (size t) (t.depth + 1)
 
 let pop t =
-  if t.depth = 0 then None
+  if t.depth = 0 then -1
   else begin
     t.top <- (t.top + size t - 1) mod size t;
     t.depth <- t.depth - 1;
-    Some t.slots.(t.top)
+    t.slots.(t.top)
   end
 
 let depth t = t.depth

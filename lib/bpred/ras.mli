@@ -7,10 +7,12 @@ val create : ?entries:int -> unit -> t
 (** Default 64 entries (Table 1). *)
 
 val push : t -> int -> unit
-val pop : t -> int option
-(** [None] when empty. Overflowed entries are silently overwritten, so a
-    pop after deep recursion may return a stale (wrong) address — exactly
-    the real-hardware failure mode. *)
+val pop : t -> int
+(** The newest return address, or -1 when empty (addresses are pcs,
+    never negative; like {!Btb.find}, the sentinel keeps the per-[ret]
+    path allocation-free). Overflowed entries are silently overwritten,
+    so a pop after deep recursion may return a stale (wrong) address —
+    exactly the real-hardware failure mode. *)
 
 val depth : t -> int
 val snapshot : t -> t

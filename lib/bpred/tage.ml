@@ -39,14 +39,20 @@ let geometric ~first ~last ~n =
         max 1 (min last l))
   end
 
-(* XOR-fold the low [len] bits of [h] down to [bits] bits. *)
+(* XOR-fold the low [len] bits of [h] down to [bits] bits. A loop, not a
+   local recursive function: that would be a closure over [mask] and
+   [bits], allocated by every call of every [refold]. *)
 let fold h len bits =
   let mask = (1 lsl bits) - 1 in
-  let rec go acc h remaining =
-    if remaining <= 0 then acc
-    else go (acc lxor (h land mask)) (h lsr bits) (remaining - bits)
-  in
-  go 0 (h land ((1 lsl len) - 1)) len
+  let acc = ref 0 in
+  let h = ref (h land ((1 lsl len) - 1)) in
+  let remaining = ref len in
+  while !remaining > 0 do
+    acc := !acc lxor (!h land mask);
+    h := !h lsr bits;
+    remaining := !remaining - bits
+  done;
+  !acc
 
 (* Rebuild every folded register from [st.history] (after an arbitrary
    history rewrite, i.e. a mispredict recovery). *)
@@ -82,6 +88,17 @@ let shift_history st taken =
   st.history <- ((h lsl 1) lor b) land st.hmask
 
 let base_index st pc = Predictor.hash_pc pc land st.base_mask
+
+(* Longest-match lookup over the indices/tags cached in [meta] (layout in
+   [create]): the highest table <= [t] whose entry tag-matches, or -1.
+   Top level, with [st]/[meta]/[n] passed in, so a lookup allocates no
+   closure. *)
+let longest_match st meta n t =
+  let t = ref t in
+  while !t >= 0 && st.tables.(!t).(meta.(5 + !t)).tag <> meta.(5 + n + !t) do
+    decr t
+  done;
+  !t
 
 let next_lfsr x =
   let x = x lxor (x lsl 13) land max_int in
@@ -136,22 +153,16 @@ let create ?(num_tables = 6) ?(table_bits = 11) ?(tag_bits = 9)
     let base_pred =
       Predictor.counter_taken st.base.(base_index st pc) ~max:3
     in
-    (* Longest-match lookup over the cached indices/tags. *)
-    let rec find t =
-      if t < 0 then -1
-      else if st.tables.(t).(meta.(5 + t)).tag = meta.(5 + n + t) then t
-      else find (t - 1)
+    let provider = longest_match st meta n (n - 1) in
+    let ppred =
+      if provider < 0 then base_pred
+      else st.tables.(provider).(meta.(5 + provider)).ctr >= 4
     in
-    let provider = find (n - 1) in
-    let ppred, alt =
-      if provider < 0 then (base_pred, base_pred)
+    let alt =
+      if provider < 0 then base_pred
       else begin
-        let alt =
-          match find (provider - 1) with
-          | -1 -> base_pred
-          | a -> st.tables.(a).(meta.(5 + a)).ctr >= 4
-        in
-        (st.tables.(provider).(meta.(5 + provider)).ctr >= 4, alt)
+        let a = longest_match st meta n (provider - 1) in
+        if a < 0 then base_pred else st.tables.(a).(meta.(5 + a)).ctr >= 4
       end
     in
     let pred =
@@ -175,17 +186,17 @@ let create ?(num_tables = 6) ?(table_bits = 11) ?(tag_bits = 9)
   in
   let update meta ~pc ~taken =
     (* Indices/tags for the predict-time history snapshot are cached in
-       meta (offsets 5.. and 5+n..); no history rewind needed. *)
-    let idx t = meta.(5 + t) in
-    let tg t = meta.(5 + n + t) in
+       meta (table t's index at 5 + t, its tag at 5 + n + t); no history
+       rewind needed. Read inline: local [idx]/[tg] helpers would be
+       closures over [meta], allocated per update. *)
     let pred = meta.(1) = 1 in
     let provider = meta.(2) - 1 in
     let ppred = meta.(3) = 1 in
     let alt = meta.(4) = 1 in
     st.update_count <- st.update_count + 1;
     if provider >= 0 then begin
-      let e = st.tables.(provider).(idx provider) in
-      if e.tag = tg provider then begin
+      let e = st.tables.(provider).(meta.(5 + provider)) in
+      if e.tag = meta.(5 + n + provider) then begin
         e.ctr <- Predictor.counter_update e.ctr ~taken ~max:7;
         if ppred <> alt then
           e.useful <-
@@ -205,31 +216,28 @@ let create ?(num_tables = 6) ?(table_bits = 11) ?(tag_bits = 9)
     (* Allocate on misprediction, in a table longer than the provider. *)
     if pred <> taken && provider < n - 1 then begin
       let start = provider + 1 in
-      (* Find candidate entries with useful = 0; pick pseudo-randomly with
-         preference for shorter histories. *)
-      let candidates = ref [] in
-      for t = n - 1 downto start do
-        let e = st.tables.(t).(idx t) in
-        if e.useful = 0 then candidates := t :: !candidates
+      (* Candidate entries have useful = 0; pick pseudo-randomly with
+         preference for shorter histories: the shortest candidate, or
+         one time in four the second shortest. *)
+      let c1 = ref (-1) and c2 = ref (-1) in
+      for t = start to n - 1 do
+        if st.tables.(t).(meta.(5 + t)).useful = 0 then
+          if !c1 < 0 then c1 := t else if !c2 < 0 then c2 := t
       done;
-      (match !candidates with
-      | [] ->
+      if !c1 < 0 then
         (* No room: age the would-be victims. *)
         for t = start to n - 1 do
-          let e = st.tables.(t).(idx t) in
-          e.useful <- max 0 (e.useful - 1)
+          let e = st.tables.(t).(meta.(5 + t)) in
+          if e.useful > 0 then e.useful <- e.useful - 1
         done
-      | c :: rest ->
+      else begin
         st.lfsr <- next_lfsr st.lfsr;
-        let chosen =
-          match rest with
-          | c2 :: _ when st.lfsr land 3 = 0 -> c2
-          | _ -> c
-        in
-        let e = st.tables.(chosen).(idx chosen) in
-        e.tag <- tg chosen;
+        let chosen = if !c2 >= 0 && st.lfsr land 3 = 0 then !c2 else !c1 in
+        let e = st.tables.(chosen).(meta.(5 + chosen)) in
+        e.tag <- meta.(5 + n + chosen);
         e.ctr <- (if taken then 4 else 3);
-        e.useful <- 0)
+        e.useful <- 0
+      end
     end;
     (* Periodic useful-bit aging. *)
     if st.update_count land 0x3ffff = 0 then

@@ -55,15 +55,16 @@ let line_bytes t = 1 lsl t.line_bits
 let sets t = t.set_count
 
 (* Index of the way holding [tag], or -1: the hot paths (access, probe)
-   must not allocate an option per lookup. *)
+   must not allocate, so neither an option per lookup nor a local
+   recursive closure over [t]/[base]/[tag] — a plain loop. *)
 let find_way_idx t set tag =
   let base = set * t.ways in
-  let rec go w =
-    if w >= t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+  let last = base + t.ways in
+  let i = ref base in
+  while !i < last && t.tags.(!i) <> tag do
+    incr i
+  done;
+  if !i < last then !i else -1
 
 let victim_way t set =
   let base = set * t.ways in

@@ -101,8 +101,19 @@ let process_completions st =
   (* Flushes remove their squashed suffix from the deque synchronously, so
      when nothing completed this cycle the deque needs no compaction. *)
   if st.comp_len > 0 then begin
-    Ring.filter_in_place st.pending ~keep:(fun h ->
-        not (st.i_squashed.(h) = 1 || st.i_complete_cycle.(h) <= st.now));
+    (* order-preserving in-place compaction, written out: a [~keep]
+       closure here would allocate on every cycle that completes *)
+    let p = st.pending in
+    let w = ref 0 in
+    for r = 0 to Ring.length p - 1 do
+      let h = Ring.get p r in
+      if not (st.i_squashed.(h) = 1 || st.i_complete_cycle.(h) <= st.now)
+      then begin
+        Ring.set p !w h;
+        incr w
+      end
+    done;
+    Ring.drop_tail p (Ring.length p - !w);
     (* Every collected handle is now off the deque (completed ones by the
        compaction above, flush-squashed ones by the flush itself — which
        recycles only the squashed handles NOT collected here, so no row

@@ -29,7 +29,7 @@ type t =
 type snapshot =
   { snap_id : int array;
     snap_claimed : int array;
-    snap_next : int
+    mutable snap_next : int
   }
 
 let no_meta : Predictor.meta = [||]
@@ -91,11 +91,15 @@ let free t idx =
     t.live <- t.live - 1
   end
 
-let snapshot t =
-  { snap_id = Array.copy t.slot_id;
-    snap_claimed = Array.copy t.slot_claimed;
-    snap_next = t.next
-  }
+let create_snapshot t =
+  let n = Array.length t.slot_id in
+  { snap_id = Array.make n 0; snap_claimed = Array.make n 0; snap_next = 0 }
+
+let snapshot_into t snap =
+  let n = Array.length t.slot_id in
+  Array.blit t.slot_id 0 snap.snap_id 0 n;
+  Array.blit t.slot_claimed 0 snap.snap_claimed 0 n;
+  snap.snap_next <- t.next
 
 let restore t snap =
   let live = ref 0 in

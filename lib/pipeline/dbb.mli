@@ -15,7 +15,8 @@
 
     Entries live in flat parallel arrays and the interface traffics in
     ints: the DBB sits on the decomposed hot path (an allocate per
-    predict, a claim and a free per resolve), so no call here allocates. *)
+    predict, a claim and a free per resolve), so no call here allocates
+    except {!create_snapshot}. *)
 
 open Bv_bpred
 
@@ -50,7 +51,15 @@ val slot_taken : t -> int -> bool
 val free : t -> int -> unit
 (** Release a slot at resolve execution. Idempotent. *)
 
-val snapshot : t -> snapshot
+val create_snapshot : t -> snapshot
+(** Storage for {!snapshot_into}, sized for [t]; its contents are
+    meaningless until filled. *)
+
+val snapshot_into : t -> snapshot -> unit
+(** Record which allocation occupies each slot, its claim flag and the
+    allocation pointer, overwriting storage from {!create_snapshot} on
+    the same buffer in place: each in-flight row reuses one snapshot
+    instead of allocating two arrays per checkpoint. *)
 
 val restore : t -> snapshot -> unit
 (** Misprediction repair. Restoration intersects the snapshot with the

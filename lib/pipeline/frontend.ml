@@ -6,46 +6,53 @@ open Machine_state
 (* What will the decomposed branch actually do? Interpret the fall-through
    resolution block (condition slice + speculative loads; no stores) on
    scratch registers up to its resolve. Oracle hint for the perfect
-   predictor; real predictors ignore it. *)
+   predictor; real predictors ignore it. A plain loop over [pc]/[steps]
+   (no local closures): it runs at every perfect-predictor predict. *)
+let[@inline] scratch_value scratch = function
+  | Instr.Reg r -> scratch.(Reg.index r)
+  | Instr.Imm i -> i
+
 let predict_outcome_oracle st pc =
   let scratch = st.oracle_scratch in
   Array.blit st.regs 0 scratch 0 (Array.length scratch);
-  let value = function
-    | Instr.Reg r -> scratch.(Reg.index r)
-    | Instr.Imm i -> i
-  in
-  let rec walk pc steps =
-    if steps > 256 || pc < 0 || pc >= st.code_len then false
-    else
-      match st.code.(pc) with
-      | Instr.Resolve { on; src; _ } -> (scratch.(Reg.index src) <> 0) = on
+  let pc = ref (pc + 1) and steps = ref 0 in
+  let outcome = ref false and walking = ref true in
+  while !walking do
+    if !steps > 256 || !pc < 0 || !pc >= st.code_len then walking := false
+    else begin
+      let here = !pc in
+      pc := here + 1;
+      incr steps;
+      match st.code.(here) with
+      | Instr.Resolve { on; src; _ } ->
+        outcome := (scratch.(Reg.index src) <> 0) = on;
+        walking := false
       | Instr.Alu { op; dst; src1; src2 }
       | Instr.Fpu { op; dst; src1; src2 } ->
         scratch.(Reg.index dst) <-
-          Instr.eval_alu op scratch.(Reg.index src1) (value src2);
-        walk (pc + 1) (steps + 1)
+          Instr.eval_alu op scratch.(Reg.index src1)
+            (scratch_value scratch src2)
       | Instr.Mov { dst; src } ->
-        scratch.(Reg.index dst) <- value src;
-        walk (pc + 1) (steps + 1)
+        scratch.(Reg.index dst) <- scratch_value scratch src
       | Instr.Cmp { op; dst; src1; src2 } ->
         scratch.(Reg.index dst) <-
-          Bool.to_int (Instr.eval_cmp op scratch.(Reg.index src1) (value src2));
-        walk (pc + 1) (steps + 1)
+          Bool.to_int
+            (Instr.eval_cmp op scratch.(Reg.index src1)
+               (scratch_value scratch src2))
       | Instr.Cmov { on; cond; dst; src } ->
         if (scratch.(Reg.index cond) <> 0) = on then
-          scratch.(Reg.index dst) <- value src;
-        walk (pc + 1) (steps + 1)
+          scratch.(Reg.index dst) <- scratch_value scratch src
       | Instr.Load { dst; base; offset; _ } ->
         scratch.(Reg.index dst) <-
-          Spec_state.spec_load st ~addr:(scratch.(Reg.index base) + offset);
-        walk (pc + 1) (steps + 1)
-      | Instr.Jump _ -> walk st.static.(pc).s_target (steps + 1)
-      | Instr.Nop -> walk (pc + 1) (steps + 1)
+          Spec_state.spec_load st ~addr:(scratch.(Reg.index base) + offset)
+      | Instr.Jump _ -> pc := st.static.(here).s_target
+      | Instr.Nop -> ()
       | Instr.Store _ | Instr.Branch _ | Instr.Call _ | Instr.Ret
       | Instr.Predict _ | Instr.Halt ->
-        false
-  in
-  walk (pc + 1) 0
+        walking := false
+    end
+  done;
+  !outcome
 
 (* Enqueue and return the pool row, so control instructions can fill
    their [c_*] columns in place (recycled / fresh rows already hold
@@ -164,18 +171,18 @@ let fetch_exec st pc =
       false
     | ra :: rest ->
       st.call_stack <- rest;
-      let predicted = Option.value (Ras.pop st.ras) ~default:ra in
-      let mispredict = predicted <> ra in
-      let checkpoint =
-        if mispredict then Some (Spec_state.make_checkpoint st) else None
+      let predicted =
+        let p = Ras.pop st.ras in
+        if p < 0 then ra else p
       in
+      let mispredict = predicted <> ra in
       let h = enqueue_h st ~addr:0 pc i in
+      if mispredict then Spec_state.checkpoint_into st h;
       (* [c_site] stays -1 and [c_meta] stays [no_ctrl_meta] from the
          recycled row; a ret reads neither *)
       st.c_kind.(h) <- ck_ret;
       st.c_mispredict.(h) <- Bool.to_int mispredict;
       st.c_redirect.(h) <- ra;
-      (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
       steer_taken st ~pc ~target:predicted;
       false)
   | Instr.Branch { on; src; _ } as i ->
@@ -186,10 +193,8 @@ let fetch_exec st pc =
     let si = st.static.(pc) in
     let target_pc = si.s_target in
     let mispredict = pred <> actual_taken in
-    let checkpoint =
-      if mispredict then Some (Spec_state.make_checkpoint st) else None
-    in
     let h = enqueue_h st ~addr:0 pc i in
+    if mispredict then Spec_state.checkpoint_into st h;
     st.c_kind.(h) <- ck_branch;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if actual_taken then target_pc else next);
@@ -197,7 +202,6 @@ let fetch_exec st pc =
     st.c_meta.(h) <- meta;
     st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
-    (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
     if pred then begin
       steer_taken st ~pc ~target:target_pc;
       false
@@ -239,10 +243,8 @@ let fetch_exec st pc =
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let mispredict = actual_taken <> predicted_taken in
     let slot = Dbb.claim_newest st.dbb in
-    let checkpoint =
-      if mispredict then Some (Spec_state.make_checkpoint st) else None
-    in
     let h = enqueue_h st ~addr:0 pc i in
+    if mispredict then Spec_state.checkpoint_into st h;
     st.c_kind.(h) <- ck_resolve;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     let si = st.static.(pc) in
@@ -255,7 +257,6 @@ let fetch_exec st pc =
     else st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
     st.c_dbb_slot.(h) <- slot;
-    (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
     (* always predicted not-taken by the front end *)
     st.fetch_pc <- next;
     true

@@ -3,13 +3,27 @@ open Bv_ir
 open Bv_bpred
 open Bv_cache
 
+(* Owned by one in-flight pool row and refilled in place by every
+   mispredict fetched into that row ({!Spec_state.checkpoint_into}), so
+   taking a checkpoint copies into storage instead of allocating it. *)
 type checkpoint =
   { ck_regs : int array;
-    ck_undo : int;  (* absolute undo-log position *)
-    ck_stack : int list;
-    ck_ras_depth : int;
+    mutable ck_undo : int;  (* absolute undo-log position *)
+    mutable ck_stack : int list;
+    mutable ck_ras_depth : int;
     ck_dbb : Dbb.snapshot;
-    ck_halted : bool
+    mutable ck_halted : bool
+  }
+
+(* Placeholder in [c_ckpt] for rows that have never needed a checkpoint
+   (compared with [==]); never filled. *)
+let no_checkpoint =
+  { ck_regs = [||];
+    ck_undo = 0;
+    ck_stack = [];
+    ck_ras_depth = 0;
+    ck_dbb = Dbb.create_snapshot (Dbb.create ~entries:0);
+    ck_halted = false
   }
 
 (* Control-instruction kinds, as int tags: control metadata lives in flat
@@ -143,33 +157,14 @@ module Ring = struct
       f (get t k)
     done
 
+  (* Overwrite the k-th entry from the head: with [get] and [drop_tail],
+     the caller's own loop compacts or cuts the ring in place, with no
+     predicate closure per call. *)
+  let[@inline] set t k x = t.buf.((t.head + k) land t.mask) <- x
+
   let drop_tail t n =
     assert (n <= t.len);
     t.len <- t.len - n
-
-  (* Remove the maximal tail suffix failing [keep], calling [removed] on
-     each dropped entry in ring (FIFO) order. *)
-  let truncate_tail t ~keep ~removed =
-    let cut = ref t.len in
-    while !cut > 0 && not (keep (get t (!cut - 1))) do
-      decr cut
-    done;
-    for k = !cut to t.len - 1 do
-      removed (get t k)
-    done;
-    t.len <- !cut
-
-  (* In-place compaction preserving order. *)
-  let filter_in_place t ~keep =
-    let w = ref 0 in
-    for r = 0 to t.len - 1 do
-      let x = get t r in
-      if keep x then begin
-        t.buf.((t.head + !w) land t.mask) <- x;
-        incr w
-      end
-    done;
-    t.len <- !w
 end
 
 (* Release-time calendar for MSHR / store-buffer occupancy: O(1) schedule,
@@ -298,7 +293,10 @@ type t =
     mutable c_actual : int array;  (* actual direction, 0 / 1 *)
     mutable c_dbb_slot : int array;  (* -1 when none *)
     mutable c_meta : Predictor.meta array;  (* [no_ctrl_meta] when none *)
-    mutable c_ckpt : checkpoint option array;  (* present iff mispredict *)
+    mutable c_has_ckpt : int array;  (* 0 / 1: present iff mispredict *)
+    mutable c_ckpt : checkpoint array;
+        (* the row's own checkpoint, [no_checkpoint] until the row first
+           needs one; meaningful only while [c_has_ckpt] is 1 *)
     mutable pool_next : handle;  (* first never-allocated row *)
     mutable free_pool : int array;  (* recycled handles (a stack) *)
     mutable free_len : int;
@@ -467,7 +465,8 @@ let create ~config ?on_event ?acct image =
     c_actual = Array.make 64 0;
     c_dbb_slot = Array.make 64 (-1);
     c_meta = Array.make 64 no_ctrl_meta;
-    c_ckpt = Array.make 64 None;
+    c_has_ckpt = Array.make 64 0;
+    c_ckpt = Array.make 64 no_checkpoint;
     pool_next = 0;
     free_pool = Array.make 64 0;
     free_len = 0;
@@ -519,7 +518,8 @@ let grow_pool st =
   let m = Array.make (2 * n) no_ctrl_meta in
   Array.blit st.c_meta 0 m 0 n;
   st.c_meta <- m;
-  let c = Array.make (2 * n) None in
+  st.c_has_ckpt <- g st.c_has_ckpt;
+  let c = Array.make (2 * n) no_checkpoint in
   Array.blit st.c_ckpt 0 c 0 n;
   st.c_ckpt <- c
 
@@ -540,12 +540,14 @@ let alloc_inflight st =
    hand the same row out twice. *)
 let recycle_inflight st h =
   if st.c_kind.(h) <> ck_none then begin
-    (* drop checkpoint / predictor-meta references; [c_site] is read
-       without a kind guard on the issue path, so it must go back to -1 *)
+    (* drop the predictor-meta reference and the checkpoint flag (the
+       row keeps its checkpoint storage for the next mispredict); [c_site]
+       is read without a kind guard on the issue path, so it must go back
+       to -1 *)
     st.c_kind.(h) <- ck_none;
     st.c_site.(h) <- -1;
     if st.c_meta.(h) != no_ctrl_meta then st.c_meta.(h) <- no_ctrl_meta;
-    (match st.c_ckpt.(h) with None -> () | Some _ -> st.c_ckpt.(h) <- None)
+    st.c_has_ckpt.(h) <- 0
   end;
   if st.free_len = Array.length st.free_pool then begin
     let n = Array.length st.free_pool in

@@ -12,25 +12,36 @@
     stage lives in that stage's [.mli], not here.
 
     Allocation discipline: the steady-state cycle loop allocates nothing
-    per instruction. Decode products are precomputed per pc in [static];
-    inflight records are recycled through a free list; event values are
+    per instruction except what the predictor interface returns (a
+    [bool * meta] pair and its meta array per prediction) and the
+    call-stack cons of a [call]. Decode products are precomputed per pc
+    in [static]; inflight rows are recycled through a free list and own
+    their mispredict checkpoints, refilled in place; event values are
     only built when a subscriber is attached ([events_enabled]); and the
     structural-resource trackers ({!Release}) and queues ({!Ring}) are
-    flat arrays with mask indexing. *)
+    flat arrays with mask indexing, compacted by closure-free loops. *)
 
 open Bv_isa
 open Bv_ir
 open Bv_bpred
 open Bv_cache
 
+(** Architectural state at a mispredicting control instruction's fetch.
+    Each in-flight pool row owns at most one, allocated the first time the
+    row needs it and refilled in place after that
+    ({!Spec_state.checkpoint_into}). *)
 type checkpoint =
   { ck_regs : int array;
-    ck_undo : int;  (** absolute undo-log position *)
-    ck_stack : int list;
-    ck_ras_depth : int;
+    mutable ck_undo : int;  (** absolute undo-log position *)
+    mutable ck_stack : int list;
+    mutable ck_ras_depth : int;
     ck_dbb : Dbb.snapshot;
-    ck_halted : bool
+    mutable ck_halted : bool
   }
+
+val no_checkpoint : checkpoint
+(** Placeholder in the [c_ckpt] column for rows that have never needed a
+    checkpoint, distinguished by physical equality ([==]); never filled. *)
 
 (** Control-instruction kind tags for the flat [c_kind] pool column.
     Control metadata lives in parallel int arrays rather than a
@@ -145,18 +156,15 @@ module Ring : sig
   (** [get t k] is the k-th entry from the head (no bounds check beyond
       the mask). *)
 
+  val set : t -> int -> int -> unit
+  (** [set t k x] overwrites the k-th entry from the head. With [get] and
+      {!drop_tail} it lets a caller compact or cut the ring in its own
+      loop, without a predicate closure. *)
+
   val iter : t -> (int -> unit) -> unit
 
   val drop_tail : t -> int -> unit
   (** Shorten by [n] entries at the tail. *)
-
-  val truncate_tail :
-    t -> keep:(int -> bool) -> removed:(int -> unit) -> unit
-  (** Remove the maximal tail suffix failing [keep], calling [removed] on
-      each dropped entry in ring (FIFO) order. *)
-
-  val filter_in_place : t -> keep:(int -> bool) -> unit
-  (** Order-preserving in-place compaction. *)
 end
 
 (** Release-time calendar giving O(1) structural-resource occupancy
@@ -259,7 +267,13 @@ type t =
     mutable c_dbb_slot : int array;  (** -1 when none *)
     mutable c_meta : Predictor.meta array;
         (** {!no_ctrl_meta} when none (compare with [==]) *)
-    mutable c_ckpt : checkpoint option array;  (** present iff mispredict *)
+    mutable c_has_ckpt : int array;
+        (** 0 / 1: the row holds a live checkpoint; present iff
+            mispredict *)
+    mutable c_ckpt : checkpoint array;
+        (** the row's own checkpoint storage ({!no_checkpoint} until the
+            row first needs one); meaningful only while [c_has_ckpt] is 1,
+            and kept across recycles *)
     mutable pool_next : handle;  (** first never-allocated row *)
     mutable free_pool : int array;  (** recycled handles (a stack) *)
     mutable free_len : int;
@@ -325,8 +339,8 @@ val recycle_inflight : t -> handle -> unit
 (** Return a handle to the free list. The caller must guarantee it is no
     longer reachable from the fetch buffer, the pending deque or the
     completion scratch — a double recycle would hand the same row out
-    twice. Resets [c_kind], [c_site] and the pointer columns ([c_meta],
-    [c_ckpt]). *)
+    twice. Resets [c_kind], [c_site], [c_meta] and [c_has_ckpt]; the
+    row's checkpoint storage in [c_ckpt] stays for its next occupant. *)
 
 val rebuild_scoreboard : t -> unit
 (** Recompute every register's ready cycle from the surviving in-flight

@@ -40,22 +40,49 @@ let spec_store st ~addr v =
 
 (* ---- checkpoints ------------------------------------------------------ *)
 
-let make_checkpoint st =
-  st.live_checkpoints <- st.live_checkpoints + 1;
-  { ck_regs = Array.copy st.regs;
-    ck_undo = st.log_base + st.log_len;
-    ck_stack = st.call_stack;
-    ck_ras_depth = Bv_bpred.Ras.depth st.ras;
-    ck_dbb = Dbb.snapshot st.dbb;
-    ck_halted = st.spec_halted
-  }
+(* Fill row [h]'s own checkpoint in place, allocating its storage the
+   first time the row needs one. *)
+let checkpoint_into st h =
+  let ck =
+    let ck = st.c_ckpt.(h) in
+    if ck != no_checkpoint then ck
+    else begin
+      let ck =
+        { ck_regs = Array.make Reg.count 0;
+          ck_undo = 0;
+          ck_stack = [];
+          ck_ras_depth = 0;
+          ck_dbb = Dbb.create_snapshot st.dbb;
+          ck_halted = false
+        }
+      in
+      st.c_ckpt.(h) <- ck;
+      ck
+    end
+  in
+  Array.blit st.regs 0 ck.ck_regs 0 Reg.count;
+  ck.ck_undo <- st.log_base + st.log_len;
+  ck.ck_stack <- st.call_stack;
+  ck.ck_ras_depth <- Bv_bpred.Ras.depth st.ras;
+  Dbb.snapshot_into st.dbb ck.ck_dbb;
+  ck.ck_halted <- st.spec_halted;
+  st.c_has_ckpt.(h) <- 1;
+  st.live_checkpoints <- st.live_checkpoints + 1
 
 let release_checkpoint st h =
-  match st.c_ckpt.(h) with
-  | Some _ -> st.live_checkpoints <- st.live_checkpoints - 1
-  | None -> ()
+  if st.c_has_ckpt.(h) = 1 then
+    st.live_checkpoints <- st.live_checkpoints - 1
 
 (* ---- misprediction flush ---------------------------------------------- *)
+
+(* Both queues are in seq order, so what a flush squashes is a contiguous
+   tail: the index of its first entry younger than [from_seq]. *)
+let squash_point st ring ~from_seq =
+  let cut = ref (Ring.length ring) in
+  while !cut > 0 && st.i_seq.(Ring.get ring (!cut - 1)) > from_seq do
+    decr cut
+  done;
+  !cut
 
 let flush st ~from_seq ~checkpoint ~new_pc =
   st.stats.Stats.redirects <- st.stats.Stats.redirects + 1;
@@ -73,25 +100,24 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     st.on_event (Redirected { cycle = st.now; after_seq = from_seq; new_pc });
   (* Wrong-path fetches were only ever reachable from the fetch buffer, so
      they go straight back to the free list. *)
-  Ring.truncate_tail st.fbuf
-    ~keep:(fun h -> st.i_seq.(h) <= from_seq)
-    ~removed:(fun h ->
-      st.stats.Stats.squashed_fetched <- st.stats.Stats.squashed_fetched + 1;
-      if st.events_enabled then
-        st.on_event (Squashed { cycle = st.now; seq = st.i_seq.(h) });
-      release_checkpoint st h;
-      recycle_inflight st h);
-  (* The deque is in seq order, so the squash set is a contiguous tail.
-     A squashed entry whose complete_cycle has arrived is also sitting in
-     the completion scratch (collected before this flush ran) and will be
-     recycled there; one still in flight is reachable from nowhere else
-     once dropped, so it is recycled here. *)
-  let len = Ring.length st.pending in
-  let cut = ref len in
-  while !cut > 0 && st.i_seq.(Ring.get st.pending (!cut - 1)) > from_seq do
-    decr cut
+  let len = Ring.length st.fbuf in
+  let cut = squash_point st st.fbuf ~from_seq in
+  for k = cut to len - 1 do
+    let h = Ring.get st.fbuf k in
+    st.stats.Stats.squashed_fetched <- st.stats.Stats.squashed_fetched + 1;
+    if st.events_enabled then
+      st.on_event (Squashed { cycle = st.now; seq = st.i_seq.(h) });
+    release_checkpoint st h;
+    recycle_inflight st h
   done;
-  for k = !cut to len - 1 do
+  Ring.drop_tail st.fbuf (len - cut);
+  (* A squashed pending entry whose complete_cycle has arrived is also
+     sitting in the completion scratch (collected before this flush ran)
+     and will be recycled there; one still in flight is reachable from
+     nowhere else once dropped, so it is recycled here. *)
+  let len = Ring.length st.pending in
+  let cut = squash_point st st.pending ~from_seq in
+  for k = cut to len - 1 do
     let h = Ring.get st.pending k in
     st.i_squashed.(h) <- 1;
     if st.events_enabled then
@@ -102,7 +128,7 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     release_checkpoint st h;
     if st.i_complete_cycle.(h) > st.now then recycle_inflight st h
   done;
-  Ring.drop_tail st.pending (len - !cut);
+  Ring.drop_tail st.pending (len - cut);
   rebuild_scoreboard st;
   st.fetch_pc <- new_pc;
   st.fetch_stall_until <- st.now + 1;
@@ -112,9 +138,8 @@ let flush st ~from_seq ~checkpoint ~new_pc =
   if st.acct_enabled then st.in_recovery <- true
 
 let mispredict_flush st h =
-  match st.c_ckpt.(h) with
-  | Some ck ->
-    st.live_checkpoints <- st.live_checkpoints - 1;
-    if st.acct_enabled then st.recovery_pc <- st.i_pc.(h);
-    flush st ~from_seq:st.i_seq.(h) ~checkpoint:ck ~new_pc:st.c_redirect.(h)
-  | None -> assert false
+  assert (st.c_has_ckpt.(h) = 1);
+  st.live_checkpoints <- st.live_checkpoints - 1;
+  if st.acct_enabled then st.recovery_pc <- st.i_pc.(h);
+  flush st ~from_seq:st.i_seq.(h) ~checkpoint:st.c_ckpt.(h)
+    ~new_pc:st.c_redirect.(h)

@@ -14,14 +14,16 @@ val spec_load : t -> addr:int -> int
 val spec_store : t -> addr:int -> int -> unit
 (** Wrong-path-safe store; the old value is pushed onto the undo log. *)
 
-val make_checkpoint : t -> checkpoint
+val checkpoint_into : t -> handle -> unit
 (** Snapshot registers, undo-log position, call stack, RAS depth, DBB and
-    the halt flag. Increments the live-checkpoint count (which pins the
-    undo log). *)
+    the halt flag into row [h]'s own checkpoint ([c_ckpt]), allocating
+    that storage only the first time the row needs it, and mark the row
+    as holding one ([c_has_ckpt]). Increments the live-checkpoint count
+    (which pins the undo log). *)
 
 val release_checkpoint : t -> handle -> unit
-(** Drop the checkpoint reference of a squashed/completed control
-    instruction, unpinning the undo log once no checkpoints remain. *)
+(** Drop the live checkpoint of a squashed control instruction, if it
+    holds one, unpinning the undo log once no checkpoints remain. *)
 
 val log_trim : t -> unit
 (** Discard the undo log when no checkpoints are live (called once per

@@ -147,19 +147,19 @@ let test_btb () =
 
 let test_ras () =
   let ras = Ras.create ~entries:4 () in
-  Alcotest.(check (option int)) "empty" None (Ras.pop ras);
+  Alcotest.(check int) "empty" (-1) (Ras.pop ras);
   Ras.push ras 1;
   Ras.push ras 2;
-  Alcotest.(check (option int)) "lifo" (Some 2) (Ras.pop ras);
-  Alcotest.(check (option int)) "lifo" (Some 1) (Ras.pop ras);
+  Alcotest.(check int) "lifo" 2 (Ras.pop ras);
+  Alcotest.(check int) "lifo" 1 (Ras.pop ras);
   (* overflow wraps and loses the deepest entries *)
   List.iter (Ras.push ras) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "depth capped" 4 (Ras.depth ras);
-  Alcotest.(check (option int)) "newest wins" (Some 5) (Ras.pop ras);
+  Alcotest.(check int) "newest wins" 5 (Ras.pop ras);
   let snap = Ras.snapshot ras in
   ignore (Ras.pop ras);
   Ras.restore ras ~from:snap;
-  Alcotest.(check (option int)) "restored" (Some 4) (Ras.pop ras)
+  Alcotest.(check int) "restored" 4 (Ras.pop ras)
 
 (* properties *)
 let stream_gen =

@@ -1,7 +1,9 @@
 (* Hot-path data structures in isolation: the monomorphic handle Ring,
    the Release occupancy calendars, the pre-decoded static table, the
-   struct-of-arrays in-flight pool, and the SoA DBB — everything the
-   per-cycle loop leans on for its zero-allocation / O(1) claims. *)
+   struct-of-arrays in-flight pool and the closure-free squash and
+   compaction loops over it — everything the per-cycle loop leans on for
+   its allocation-free / O(1) claims — plus an end-to-end bound on the
+   words the cycle loop allocates per simulated instruction. *)
 
 open Bv_pipeline
 open Machine_state
@@ -41,24 +43,10 @@ let test_ring_limit () =
   ignore (Ring.pop r);
   Alcotest.(check bool) "pop reopens" false (Ring.is_full r)
 
-let test_ring_truncate_tail () =
-  let r = Ring.create 4 in
-  List.iter (Ring.push r) [ 1; 2; 3; 14; 15 ];
-  let removed = ref [] in
-  Ring.truncate_tail r
-    ~keep:(fun x -> x < 10)
-    ~removed:(fun x -> removed := x :: !removed);
-  Alcotest.(check (list int)) "removed in fifo order" [ 14; 15 ]
-    (List.rev !removed);
-  Alcotest.(check int) "survivors" 3 (Ring.length r);
-  (* keep only bounds the *tail*: an interior non-matching entry stops
-     the truncation *)
-  let r2 = Ring.create 4 in
-  List.iter (Ring.push r2) [ 14; 1; 15 ];
-  Ring.truncate_tail r2 ~keep:(fun x -> x < 10) ~removed:(fun _ -> ());
-  Alcotest.(check int) "interior entry shields the head" 2 (Ring.length r2)
-
-let test_ring_filter_in_place () =
+(* The closure-free compaction idiom the backend uses on the pending
+   deque: [get] each entry, [set] the kept ones down, [drop_tail] the
+   rest — order preserved across a rotated head. *)
+let test_ring_set_compaction () =
   let r = Ring.create 4 in
   (* rotate the head first so compaction must handle wraparound *)
   List.iter (Ring.push r) [ 99; 99; 99 ];
@@ -66,7 +54,15 @@ let test_ring_filter_in_place () =
     ignore (Ring.pop r)
   done;
   List.iter (Ring.push r) [ 1; 2; 3; 4; 5; 6 ];
-  Ring.filter_in_place r ~keep:(fun x -> x mod 2 = 0);
+  let w = ref 0 in
+  for k = 0 to Ring.length r - 1 do
+    let x = Ring.get r k in
+    if x mod 2 = 0 then begin
+      Ring.set r !w x;
+      incr w
+    end
+  done;
+  Ring.drop_tail r (Ring.length r - !w);
   let xs = ref [] in
   Ring.iter r (fun x -> xs := x :: !xs);
   Alcotest.(check (list int)) "kept, order preserved" [ 2; 4; 6 ]
@@ -197,15 +193,129 @@ let test_pool_grows () =
   Array.sort compare reused;
   Alcotest.(check bool) "free list hands rows back" true (reused = sorted)
 
+(* ------------------------------------------------ squash and compaction *)
+
+(* A plain (non-control, non-halt) row labelled by [seq], for driving the
+   queues directly. *)
+let plain_row st ~seq =
+  let h = alloc_inflight st in
+  st.i_seq.(h) <- seq;
+  st.i_pc.(h) <- 0;
+  st.i_fetch_cycle.(h) <- 0;
+  st.i_addr.(h) <- 0;
+  st.i_complete_cycle.(h) <- max_int;
+  st.i_squashed.(h) <- 0;
+  st.i_prefetch.(h) <- -1;
+  h
+
+let seqs_of st ring =
+  let xs = ref [] in
+  Ring.iter ring (fun h -> xs := st.i_seq.(h) :: !xs);
+  List.rev !xs
+
+(* The flush cuts the fetch buffer's wrong-path tail (seq > [from_seq])
+   in place: squashed in FIFO order, and only the tail — an interior
+   older entry shields everything ahead of it. *)
+let test_flush_fetch_tail () =
+  let squashed = ref [] in
+  let st =
+    Machine_state.create ~config:Config.four_wide
+      ~on_event:(function
+        | Squashed { seq; _ } -> squashed := seq :: !squashed
+        | _ -> ())
+      (Lazy.force static_image)
+  in
+  let owner = plain_row st ~seq:0 in
+  st.c_kind.(owner) <- ck_branch;
+  Spec_state.checkpoint_into st owner;
+  let flush_with seqs =
+    while Ring.length st.fbuf > 0 do
+      recycle_inflight st (Ring.pop st.fbuf)
+    done;
+    List.iter (fun seq -> Ring.push st.fbuf (plain_row st ~seq)) seqs;
+    squashed := [];
+    Spec_state.flush st ~from_seq:10 ~checkpoint:st.c_ckpt.(owner) ~new_pc:0
+  in
+  flush_with [ 1; 2; 3; 14; 15 ];
+  Alcotest.(check (list int)) "removed in fifo order" [ 14; 15 ]
+    (List.rev !squashed);
+  Alcotest.(check (list int)) "survivors" [ 1; 2; 3 ] (seqs_of st st.fbuf);
+  Alcotest.(check int) "squashed_fetched" 2 st.stats.Stats.squashed_fetched;
+  flush_with [ 14; 1; 15 ];
+  Alcotest.(check int) "interior entry shields the head" 2
+    (Ring.length st.fbuf)
+
+(* Completion drops the finished rows from the pending deque in place,
+   keeping the rest in seq order across a rotated head. *)
+let test_completion_compaction () =
+  let st = fresh_state () in
+  Alcotest.(check bool) "pc 0 is not a halt" false st.static.(0).s_is_halt;
+  for _ = 1 to 3 do
+    Ring.push st.pending (plain_row st ~seq:0);
+    recycle_inflight st (Ring.pop st.pending)
+  done;
+  st.now <- 10;
+  List.iter
+    (fun seq ->
+      let h = plain_row st ~seq in
+      st.i_complete_cycle.(h) <- (if seq mod 2 = 0 then 20 else 10);
+      Ring.push st.pending h)
+    [ 1; 2; 3; 4; 5; 6 ];
+  st.next_complete <- 0;
+  let free0 = st.free_len in
+  Backend.process_completions st;
+  Alcotest.(check (list int)) "incomplete kept, order preserved" [ 2; 4; 6 ]
+    (seqs_of st st.pending);
+  Alcotest.(check int) "completed rows recycled" (free0 + 3) st.free_len;
+  Alcotest.(check int) "next completion" 20 st.next_complete
+
+(* ------------------------------------------------- allocation regression *)
+
+(* The steady-state cycle loop allocates (almost) nothing per simulated
+   instruction. Running one image at repetitions N and 2N cancels the
+   per-run set-up (pool, tables, caches), so the extra minor words per
+   extra retired instruction is the loop's own cost. What remains is the
+   predictor interface's [bool * meta] result and a call's stack cons;
+   a closure or an option creeping back onto a per-instruction path
+   costs several words per instruction and trips the bound. *)
+let alloc_image reps =
+  let spec = Option.get (Bv_workloads.Suites.find "astar") in
+  let b = Bv_harness.Runner.prepare { spec with Bv_workloads.Spec.reps } in
+  Bv_harness.Runner.experimental_program b ~input:1
+
+let words_per_instr ~config ~small ~large =
+  let run img =
+    let w0 = Gc.minor_words () in
+    let r = Machine.run ~config img in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check bool) "run finished" true r.Machine.finished;
+    (w1 -. w0, Stats.retired r.Machine.stats)
+  in
+  let w_small, n_small = run small in
+  let w_large, n_large = run large in
+  Alcotest.(check bool) "larger run retires more" true
+    (n_large > n_small + 10_000);
+  (w_large -. w_small) /. Float.of_int (n_large - n_small)
+
+let test_alloc_per_instr () =
+  let small = alloc_image 2 and large = alloc_image 4 in
+  List.iter
+    (fun (predictor, width, bound) ->
+      let config = Config.make ~predictor ~width () in
+      let w = words_per_instr ~config ~small ~large in
+      if w > bound then
+        Alcotest.failf "%s width %d: %.3f words per instruction > %.1f"
+          (Bv_bpred.Kind.name predictor) width w bound)
+    [ (Bv_bpred.Kind.Tournament, 4, 1.0); (Bv_bpred.Kind.Tage, 8, 1.5) ]
+
 let () =
   Alcotest.run "bv_hotpath"
     [ ( "ring",
         [ Alcotest.test_case "fifo across growth and wrap" `Quick
             test_ring_fifo;
           Alcotest.test_case "limit vs backing" `Quick test_ring_limit;
-          Alcotest.test_case "truncate_tail" `Quick test_ring_truncate_tail;
-          Alcotest.test_case "filter_in_place" `Quick
-            test_ring_filter_in_place
+          Alcotest.test_case "set and drop_tail compaction" `Quick
+            test_ring_set_compaction
         ] );
       ( "release",
         [ Alcotest.test_case "occupancy calendar" `Quick
@@ -219,5 +329,15 @@ let () =
         [ Alcotest.test_case "recycle clears control columns" `Quick
             test_pool_recycle;
           Alcotest.test_case "growth and reuse" `Quick test_pool_grows
+        ] );
+      ( "squash",
+        [ Alcotest.test_case "flush cuts the fetch-buffer tail" `Quick
+            test_flush_fetch_tail;
+          Alcotest.test_case "completion compaction" `Quick
+            test_completion_compaction
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per instruction" `Quick
+            test_alloc_per_instr
         ] )
     ]

@@ -41,7 +41,8 @@ let test_dbb_alloc_claim_free () =
 let test_dbb_snapshot_no_resurrection () =
   let d = Dbb.create ~entries:4 in
   let s0 = alloc d 10 in
-  let snap = Dbb.snapshot d in
+  let snap = Dbb.create_snapshot d in
+  Dbb.snapshot_into d snap;
   (* an older resolve frees the entry after the snapshot was taken *)
   Dbb.free d s0;
   (* a wrong-path predict allocates something new *)
@@ -54,7 +55,8 @@ let test_dbb_snapshot_no_resurrection () =
 let test_dbb_snapshot_claim_revert () =
   let d = Dbb.create ~entries:4 in
   ignore (alloc d 10);
-  let snap = Dbb.snapshot d in
+  let snap = Dbb.create_snapshot d in
+  Dbb.snapshot_into d snap;
   ignore (Dbb.claim_newest d);
   (* wrong-path claim *)
   Dbb.restore d snap;
