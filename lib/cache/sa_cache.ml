@@ -11,9 +11,11 @@ type t =
     set_bits : int;
     set_count : int;
     ways : int;
-    tags : int array;  (* set * ways, -1 = invalid *)
+    tags : int array;
+        (* set * ways: [(tag lsl 1) lor dirty], -1 = invalid. [create]
+           keeps at least two address bits out of the tag, so a tag is
+           below 2^61 and a valid word is non-negative. *)
     lru : int array;  (* last-use stamp *)
-    dirty : bool array;
     mutable clock : int;
     mutable accesses : int;
     mutable misses : int;
@@ -35,6 +37,8 @@ let create ~name ~size_bytes ~ways ~line_bytes =
   let set_count = size_bytes / (ways * line_bytes) in
   if not (is_pow2 set_count) then
     invalid_arg (name ^ ": set count must be a power of two");
+  if line_bytes * set_count < 4 then
+    invalid_arg (name ^ ": line_bytes * sets must be at least 4");
   { name;
     line_bits = log2 line_bytes;
     set_bits = log2 set_count;
@@ -42,7 +46,6 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     ways;
     tags = Array.make (set_count * ways) (-1);
     lru = Array.make (set_count * ways) 0;
-    dirty = Array.make (set_count * ways) false;
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -56,12 +59,13 @@ let sets t = t.set_count
 
 (* Index of the way holding [tag], or -1: the hot paths (access, probe)
    must not allocate, so neither an option per lookup nor a local
-   recursive closure over [t]/[base]/[tag] — a plain loop. *)
+   recursive closure over [t]/[base]/[tag] — a plain loop. An invalid
+   way's [-1 lsr 1] is [max_int], never a tag. *)
 let find_way_idx t set tag =
   let base = set * t.ways in
   let last = base + t.ways in
   let i = ref base in
-  while !i < last && t.tags.(!i) <> tag do
+  while !i < last && t.tags.(!i) lsr 1 <> tag do
     incr i
   done;
   if !i < last then !i else -1
@@ -87,7 +91,7 @@ let access t ~addr ~write =
   let i = find_way_idx t set tag in
   if i >= 0 then begin
     t.lru.(i) <- t.clock;
-    if write then t.dirty.(i) <- true;
+    if write then t.tags.(i) <- t.tags.(i) lor 1;
     `Hit
   end
   else begin
@@ -95,11 +99,10 @@ let access t ~addr ~write =
     let i = victim_way t set in
     if t.tags.(i) <> -1 then begin
       t.evictions <- t.evictions + 1;
-      if t.dirty.(i) then t.writebacks <- t.writebacks + 1
+      if t.tags.(i) land 1 = 1 then t.writebacks <- t.writebacks + 1
     end;
-    t.tags.(i) <- tag;
+    t.tags.(i) <- (tag lsl 1) lor Bool.to_int write;
     t.lru.(i) <- t.clock;
-    t.dirty.(i) <- write;
     `Miss
   end
 
@@ -109,9 +112,7 @@ let probe t ~addr =
   let tag = line lsr t.set_bits in
   find_way_idx t set tag >= 0
 
-let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false
+let invalidate_all t = Array.fill t.tags 0 (Array.length t.tags) (-1)
 
 let stats t =
   { accesses = t.accesses;

@@ -13,7 +13,9 @@ type stats =
 
 val create :
   name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
-(** Raises [Invalid_argument] unless sizes are powers of two and consistent. *)
+(** Raises [Invalid_argument] unless sizes are powers of two and
+    consistent, with [line_bytes * sets >= 4] (the dirty bit shares the
+    tag word). *)
 
 val name : t -> string
 val line_bytes : t -> int

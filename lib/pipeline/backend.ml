@@ -56,71 +56,46 @@ let handle_completion st h =
     end
   end
 
+(* One forward pass: read position [r], survivors swapped down to the
+   write position [w]. A flush inside [handle_completion] cuts the deque
+   just after [r], so the loop ends there. Swapping, not overwriting,
+   keeps [0, r] a permutation of the cycle's rows, which the flush's
+   {!Machine_state.rebuild_scoreboard} needs (overwriting drops completed
+   producers from it and breaks the goldens). *)
 let process_completions st =
   (* [next_complete] is a lower bound on every pending complete_cycle, so
      below it there is nothing to do — no scan at all on the (frequent)
      cycles spent waiting out a long load. *)
   if st.now >= st.next_complete then begin
-  (* Collect completing entries into the scratch buffer first: a flush
-     inside [handle_completion] compacts [st.pending], so the deque cannot
-     be iterated live. Entries land in seq order. *)
-  st.comp_len <- 0;
-  let next = ref max_int in
-  for k = 0 to Ring.length st.pending - 1 do
-    let h = Ring.get st.pending k in
-    let cc = st.i_complete_cycle.(h) in
-    if cc <= st.now then begin
-      if st.comp_len = Array.length st.comp_buf then begin
-        let n = Array.length st.comp_buf in
-        let buf = Array.make (2 * n) 0 in
-        Array.blit st.comp_buf 0 buf 0 n;
-        st.comp_buf <- buf
-      end;
-      st.comp_buf.(st.comp_len) <- h;
-      st.comp_len <- st.comp_len + 1
-    end
-    else if cc < !next then next := cc
-  done;
-  (* A flush below only removes entries, so the bound can only go stale
-     low — which merely costs a scan, never skips a completion. *)
-  st.next_complete <- !next;
-  for k = 0 to st.comp_len - 1 do
-    let h = st.comp_buf.(k) in
-    if st.i_squashed.(h) = 0 then begin
-      if st.events_enabled then
-        st.on_event
-          (Completed
-             { cycle = st.now;
-               seq = st.i_seq.(h);
-               mispredicted =
-                 st.c_kind.(h) <> ck_none && st.c_mispredict.(h) = 1
-             });
-      handle_completion st h
-    end
-  done;
-  (* Flushes remove their squashed suffix from the deque synchronously, so
-     when nothing completed this cycle the deque needs no compaction. *)
-  if st.comp_len > 0 then begin
-    (* order-preserving in-place compaction, written out: a [~keep]
-       closure here would allocate on every cycle that completes *)
     let p = st.pending in
+    let next = ref max_int in
     let w = ref 0 in
-    for r = 0 to Ring.length p - 1 do
-      let h = Ring.get p r in
-      if not (st.i_squashed.(h) = 1 || st.i_complete_cycle.(h) <= st.now)
-      then begin
-        Ring.set p !w h;
-        incr w
+    let r = ref 0 in
+    while !r < Ring.length p do
+      let h = Ring.get p !r in
+      let cc = st.i_complete_cycle.(h) in
+      if cc <= st.now then begin
+        if st.events_enabled then
+          st.on_event
+            (Completed
+               { cycle = st.now;
+                 seq = st.i_seq.(h);
+                 mispredicted =
+                   st.c_kind.(h) <> ck_none && st.c_mispredict.(h) = 1
+               });
+        handle_completion st h;
+        recycle_inflight st h
       end
+      else begin
+        if cc < !next then next := cc;
+        if !w < !r then begin
+          Ring.set p !r (Ring.get p !w);
+          Ring.set p !w h
+        end;
+        incr w
+      end;
+      incr r
     done;
     Ring.drop_tail p (Ring.length p - !w);
-    (* Every collected handle is now off the deque (completed ones by the
-       compaction above, flush-squashed ones by the flush itself — which
-       recycles only the squashed handles NOT collected here, so no row
-       is freed twice). *)
-    for k = 0 to st.comp_len - 1 do
-      recycle_inflight st st.comp_buf.(k)
-    done;
-    st.comp_len <- 0
-  end
+    st.next_complete <- !next
   end

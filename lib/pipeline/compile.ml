@@ -32,7 +32,6 @@ let[@inline] enq st ~addr pc =
   st.i_fetch_cycle.(h) <- st.now;
   st.i_addr.(h) <- addr;
   st.i_complete_cycle.(h) <- max_int;
-  st.i_squashed.(h) <- 0;
   st.i_prefetch.(h) <- -1;
   st.seq <- st.seq + 1;
   Ring.push st.fbuf h;
@@ -44,13 +43,8 @@ let[@inline] enq st ~addr pc =
    sweep candidate, actionable from its operand readiness. *)
 let[@inline] fold_sweep st pc =
   if st.cfg.Config.runahead then begin
-    let uses = st.static.(pc).s_uses in
-    let r = ref 0 in
-    for k = 0 to Array.length uses - 1 do
-      let t = st.ready.(uses.(k)) in
-      if t > !r then r := t
-    done;
-    if !r < st.sweep_bound then st.sweep_bound <- !r
+    let r = Scoreboard.readiness st st.static.(pc) in
+    if r < st.sweep_bound then st.sweep_bound <- r
   end
 
 (* Specialised ALU closures, one per (op, operand-kind) pair, the pool
@@ -263,11 +257,8 @@ let attach st =
 
    Only called on compiled runs (no observers): the per-cycle effects of
    a skipped cycle are exactly the counter increments replicated here,
-   so the result is byte-identical to stepping cycle by cycle. *)
-(* Observability for the microbenchmarks and the perf probe: cycles
-   fast-forwarded by each skip case since process start. *)
-let skipped_empty = ref 0
-let skipped_parked = ref 0
+   so the result is byte-identical to stepping cycle by cycle — at a
+   cost independent of the number of cycles skipped. *)
 
 let skip_stalls st ~limit =
   let now = st.now in
@@ -289,7 +280,6 @@ let skip_stalls st ~limit =
         stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
       stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
       Spec_state.log_trim st;
-      skipped_empty := !skipped_empty + k;
       st.now <- now + k;
       stats.Stats.cycles <- st.now
     end
@@ -329,13 +319,8 @@ let skip_stalls st ~limit =
             if st.i_prefetch.(e) < 0 then begin
               let si = st.static.(st.i_pc.(e)) in
               if si.s_mem_kind <> 0 then begin
-                let uses = si.s_uses in
-                let r = ref 0 in
-                for j = 0 to Array.length uses - 1 do
-                  let t = st.ready.(uses.(j)) in
-                  if t > !r then r := t
-                done;
-                if !r < !b then b := !r
+                let r = Scoreboard.readiness st si in
+                if r < !b then b := r
               end
             end;
             incr k
@@ -350,15 +335,11 @@ let skip_stalls st ~limit =
         stats.Stats.operand_stall_cycles <-
           stats.Stats.operand_stall_cycles + k;
         let slot = st.c_site.(h) in
-        if slot >= 0 then
-          for _ = 1 to k do
-            Stats.add_site_stall stats ~slot
-          done;
+        if slot >= 0 then Stats.add_site_stall stats ~slot ~cycles:k;
         stats.Stats.dbb_occupancy_sum <-
           stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
         stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
         Spec_state.log_trim st;
-        skipped_parked := !skipped_parked + k;
         st.now <- now + k;
         stats.Stats.cycles <- st.now
       end

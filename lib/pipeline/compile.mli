@@ -22,20 +22,14 @@ val attach : Machine_state.t -> unit
     ([events_enabled = false], [acct_enabled = false]); {!Machine.run}
     enforces this. *)
 
-val skipped_empty : int ref
-(** Cycles fast-forwarded through empty-frontend stalls (process-wide,
-    for perf probes and microbenchmarks — not part of any Stats). *)
-
-val skipped_parked : int ref
-(** Cycles fast-forwarded through parked-head operand stalls. *)
-
 val skip_stalls : Machine_state.t -> limit:int -> unit
 (** Advance [st.now] in closed form through cycles where the machine
     provably only does bookkeeping — an empty fetch buffer behind a
     blocked front end, or a parked (operand-blocked) issue head with
     fetch also blocked (under runahead, additionally bounded by the
     earliest cycle the prefetch sweep could act). Applies the skipped
-    cycles' counter updates exactly as the per-cycle loop would; never
+    cycles' counter updates exactly as the per-cycle loop would, in
+    closed form (the cost does not grow with the cycles skipped); never
     advances past [limit] ([max_cycles]), a pending completion, a
     fetch-stall expiry or a park expiry. Compiled (observer-free) runs
     only. *)

@@ -66,7 +66,6 @@ let enqueue_h st ~addr pc instr =
   st.i_fetch_cycle.(h) <- st.now;
   st.i_addr.(h) <- addr;
   st.i_complete_cycle.(h) <- max_int;
-  st.i_squashed.(h) <- 0;
   st.i_prefetch.(h) <- -1;
   st.seq <- st.seq + 1;
   (* Keep the runahead sweep bound a lower bound: a new memory entry is
@@ -74,7 +73,7 @@ let enqueue_h st ~addr pc instr =
   if st.cfg.Config.runahead then begin
     let si = st.static.(pc) in
     if si.s_mem_kind <> 0 then begin
-      let r = Scoreboard.readiness st si.s_uses in
+      let r = Scoreboard.readiness st si in
       if r < st.sweep_bound then st.sweep_bound <- r
     end
   end;

@@ -55,6 +55,20 @@ let cycle st ~on_cycle =
     | None -> ()
   end
 
+(* [Compile.skip_stalls]' cheap precondition — an empty fetch buffer or
+   a possibly parked head — checked inline, so a busy cycle pays two
+   loads instead of a call. *)
+let[@inline] skip_if_stalled st ~limit =
+  let open Machine_state in
+  if
+    st.compiled
+    && (Ring.length st.fbuf = 0 || Ring.front st.fbuf = st.park_h)
+  then Compile.skip_stalls st ~limit
+
+let[@inline] step st ~max_cycles ~on_cycle =
+  skip_if_stalled st ~limit:max_cycles;
+  if st.Machine_state.now < max_cycles then cycle st ~on_cycle
+
 let run_to st ~max_cycles ~max_retired ~on_cycle =
   let stats = st.Machine_state.stats in
   while
@@ -62,8 +76,7 @@ let run_to st ~max_cycles ~max_retired ~on_cycle =
     && st.Machine_state.now < max_cycles
     && Stats.retired stats < max_retired
   do
-    if st.Machine_state.compiled then Compile.skip_stalls st ~limit:max_cycles;
-    if st.Machine_state.now < max_cycles then cycle st ~on_cycle
+    step st ~max_cycles ~on_cycle
   done
 
 let result_of st =
@@ -141,9 +154,7 @@ let run_sampled ?(max_cycles = 1_000_000_000) ?compile
       && (Machine_state.Ring.length st.Machine_state.fbuf > 0
          || Machine_state.Ring.length st.Machine_state.pending > 0)
     do
-      if st.Machine_state.compiled then
-        Compile.skip_stalls st ~limit:max_cycles;
-      if st.Machine_state.now < max_cycles then cycle st ~on_cycle:None
+      step st ~max_cycles ~on_cycle:None
     done;
     st.Machine_state.fetch_frozen <- false
   in

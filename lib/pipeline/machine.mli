@@ -83,6 +83,17 @@ val run :
     to interpreted runs; attaching any observer ([on_event], [on_cycle]
     or [acct]) forces the interpreted path regardless. *)
 
+val step :
+  Machine_state.t ->
+  max_cycles:int ->
+  on_cycle:(cycle:int -> stats:Stats.t -> dbb_occupancy:int -> unit) option ->
+  unit
+(** One iteration of {!run}'s loop on a machine built with
+    {!Machine_state.create} (and, for the compiled path,
+    {!Compile.attach}): fast-forward provable stall cycles, then simulate
+    one cycle unless [max_cycles] is reached. Exposed so tests can check
+    machine-state invariants between cycles. *)
+
 (** {2 SMARTS-style interval sampling} *)
 
 type sample_params =

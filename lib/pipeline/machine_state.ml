@@ -57,12 +57,20 @@ let fu_mem = 2
 let fu_branch = 3
 let fu_none = 4
 
+(* The spare [ready] entry, never written (always ready): absent source
+   operands point here, so an operand check is three loads, no loop. *)
+let no_use = Reg.count
+
 (* Per-pc decode products, computed once per [create] so the fetch path
    never recomputes defs/uses/FU class/latency per dynamic instruction. *)
 type static_info =
   { s_fu : int;  (* [fu_int] .. [fu_none] *)
     s_dst : int;  (* register index, -1 if none *)
-    s_uses : int array;  (* register indices, in Instr.uses order *)
+    s_u0 : int;
+        (* source register indices in Instr.uses order (at most three);
+           [no_use] where absent *)
+    s_u1 : int;
+    s_u2 : int;
     s_latency : int;  (* base issue latency under the run's config *)
     s_mem_kind : int;  (* 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
@@ -168,10 +176,10 @@ module Ring = struct
 end
 
 (* Release-time calendar for MSHR / store-buffer occupancy: O(1) schedule,
-   O(1) amortised drain, O(1) occupancy query — replaces the lists that
-   were List.filter-compacted every cycle and List.length-counted on
-   every issue attempt. [slots.(c land mask)] counts entries released at
-   cycle [c]; [horizon] must bound the largest schedulable latency. *)
+   O(1) occupancy query, and a drain that costs one step per cycle only
+   while something is outstanding — an empty calendar jumps its cursor.
+   [slots.(c land mask)] counts entries released at cycle [c];
+   [horizon] must bound the largest schedulable latency. *)
 module Release = struct
   type t =
     { slots : int array;
@@ -192,14 +200,19 @@ module Release = struct
     t.occupancy <- t.occupancy + 1
 
   (* After [drain t ~now], [occupancy] counts exactly the entries with
-     release cycle > now (the old [List.filter (fun c -> c > now)]). *)
+     release cycle > now. [occupancy] is the sum of all slots (drained
+     slots are zeroed), so at 0 every slot is 0 and the cursor can jump. *)
   let[@inline] drain t ~now =
-    while t.cursor <= now do
-      let i = t.cursor land t.mask in
-      t.occupancy <- t.occupancy - t.slots.(i);
-      t.slots.(i) <- 0;
-      t.cursor <- t.cursor + 1
-    done
+    if t.occupancy = 0 then begin
+      if t.cursor <= now then t.cursor <- now + 1
+    end
+    else
+      while t.cursor <= now do
+        let i = t.cursor land t.mask in
+        t.occupancy <- t.occupancy - t.slots.(i);
+        t.slots.(i) <- 0;
+        t.cursor <- t.cursor + 1
+      done
 end
 
 type t =
@@ -230,7 +243,8 @@ type t =
     mutable now : int;
     fbuf : Ring.t;
     (* Issued-but-incomplete instructions, in seq order: a FIFO deque —
-       push at tail on issue, compact on completion, truncate on flush. *)
+       push at tail on issue, compacted in place by the completion pass,
+       cut at the tail by a flush. Never holds a squashed row. *)
     pending : Ring.t;
     (* Lower bound on the earliest complete_cycle in [pending] (may be
        stale low after a flush, never high): the backend skips the
@@ -279,7 +293,6 @@ type t =
     mutable i_fetch_cycle : int array;
     mutable i_addr : int array;  (* load/store effective address, at fetch *)
     mutable i_complete_cycle : int array;
-    mutable i_squashed : int array;  (* 0 / 1 *)
     mutable i_prefetch : int array;  (* prefetch arrival cycle; -1: none *)
     (* Control metadata, valid while [c_kind] is not [ck_none]. A row's
        enqueuer writes every field it later reads; [recycle_inflight]
@@ -300,8 +313,6 @@ type t =
     mutable pool_next : handle;  (* first never-allocated row *)
     mutable free_pool : int array;  (* recycled handles (a stack) *)
     mutable free_len : int;
-    mutable comp_buf : int array;  (* per-cycle completion scratch *)
-    mutable comp_len : int;
     oracle_scratch : int array;  (* predict-oracle register scratch *)
     (* Only the perfect predictor reads [~outcome] at predict time (the
        interface contract: every other predictor must ignore it), so the
@@ -348,6 +359,9 @@ let site_id = function
   | _ -> -1
 
 let static_of (cfg : Config.t) image stats instr =
+  let uses = List.map Reg.index (Instr.uses instr) in
+  assert (List.length uses <= 3);
+  let u k = Option.value (List.nth_opt uses k) ~default:no_use in
   let dst =
     match Instr.defs instr with r :: _ -> Reg.index r | [] -> -1
   in
@@ -379,7 +393,9 @@ let static_of (cfg : Config.t) image stats instr =
       | Instr.Fu_branch -> fu_branch
       | Instr.Fu_none -> fu_none);
     s_dst = dst;
-    s_uses = Array.of_list (List.map Reg.index (Instr.uses instr));
+    s_u0 = u 0;
+    s_u1 = u 1;
+    s_u2 = u 2;
     s_latency = latency;
     s_mem_kind = mem_kind;
     s_is_halt = instr = Instr.Halt;
@@ -432,7 +448,7 @@ let create ~config ?on_event ?acct image =
     fbuf = Ring.create ~limit:cfg.Config.fetch_buffer cfg.Config.fetch_buffer;
     pending = Ring.create 64;
     next_complete = max_int;
-    ready = Array.make Reg.count 0;
+    ready = Array.make (Reg.count + 1) 0;
     park_h = -1;
     park_seq = -1;
     park_until = 0;
@@ -455,7 +471,6 @@ let create ~config ?on_event ?acct image =
     i_fetch_cycle = Array.make 64 0;
     i_addr = Array.make 64 0;
     i_complete_cycle = Array.make 64 max_int;
-    i_squashed = Array.make 64 0;
     i_prefetch = Array.make 64 (-1);
     c_kind = Array.make 64 ck_none;
     c_mispredict = Array.make 64 0;
@@ -470,8 +485,6 @@ let create ~config ?on_event ?acct image =
     pool_next = 0;
     free_pool = Array.make 64 0;
     free_len = 0;
-    comp_buf = Array.make 64 0;
-    comp_len = 0;
     oracle_scratch = Array.make Reg.count 0;
     oracle_needed = (cfg.Config.predictor = Kind.Perfect);
     events_enabled = Option.is_some on_event;
@@ -482,7 +495,7 @@ let create ~config ?on_event ?acct image =
     fetch_stall_src = fsrc_none;
     in_recovery = false;
     recovery_pc = -1;
-    ready_src_load = Array.make Reg.count 0;
+    ready_src_load = Array.make (Reg.count + 1) 0;
     compiled = false;
     fetch_ops = [||];
     run_len = [||];
@@ -503,7 +516,6 @@ let grow_pool st =
   st.i_fetch_cycle <- g st.i_fetch_cycle;
   st.i_addr <- g st.i_addr;
   st.i_complete_cycle <- g st.i_complete_cycle;
-  st.i_squashed <- g st.i_squashed;
   st.i_prefetch <- g st.i_prefetch;
   st.c_kind <- g st.c_kind;
   st.c_mispredict <- g st.c_mispredict;
@@ -535,9 +547,9 @@ let alloc_inflight st =
     h
   end
 
-(* Callers must guarantee the handle is unreachable from the fetch buffer,
-   the pending deque and the completion scratch — a double recycle would
-   hand the same row out twice. *)
+(* Callers must guarantee the handle is no longer in the fetch buffer or
+   the pending deque — a double recycle would hand the same row out
+   twice. *)
 let recycle_inflight st h =
   if st.c_kind.(h) <> ck_none then begin
     (* drop the predictor-meta reference and the checkpoint flag (the
@@ -559,7 +571,12 @@ let recycle_inflight st h =
   st.free_len <- st.free_len + 1
 
 (* Scoreboard repair after a squash: recompute every register's ready
-   cycle from the surviving in-flight producers. *)
+   cycle from the producers left in [pending]. Inside the completion
+   pass, that is a permutation of the cycle's rows up to the flushing one
+   (completed rows recycled but with their [i_*] columns intact). [ready]
+   is a max, so order does not change it; only [ready_src_load] ties
+   among completed rows can differ, and those are never read ([ready] <=
+   [now] there until the next producer overwrites both). *)
 let rebuild_scoreboard st =
   (* [ready] cycles can drop here, so the sweep bound is no longer a
      lower bound — force the next sweep to walk and recompute. *)
@@ -568,13 +585,11 @@ let rebuild_scoreboard st =
   Array.fill st.ready_src_load 0 Reg.count 0;
   for k = 0 to Ring.length st.pending - 1 do
     let h = Ring.get st.pending k in
-    if st.i_squashed.(h) = 0 then begin
-      let si = st.static.(st.i_pc.(h)) in
-      let dst = si.s_dst in
-      if dst >= 0 && st.i_complete_cycle.(h) >= st.ready.(dst) then begin
-        st.ready.(dst) <- st.i_complete_cycle.(h);
-        st.ready_src_load.(dst) <- si.s_mem_kind land 1
-      end
+    let si = st.static.(st.i_pc.(h)) in
+    let dst = si.s_dst in
+    if dst >= 0 && st.i_complete_cycle.(h) >= st.ready.(dst) then begin
+      st.ready.(dst) <- st.i_complete_cycle.(h);
+      st.ready_src_load.(dst) <- si.s_mem_kind land 1
     end
   done
 
@@ -592,6 +607,9 @@ let operand_value st = function
    is still at [now]. Priority: progress beats recovery beats back-end
    stalls beats front-end starvation; conservation holds by construction
    (one increment per call, one call per counted cycle). *)
+let[@inline] waits_on_load st r =
+  st.ready.(r) > st.now && st.ready_src_load.(r) = 1
+
 let account_cycle st =
   let a = st.acct in
   let comp =
@@ -601,15 +619,12 @@ let account_cycle st =
       (* the head is still at the fetch-buffer front (nothing issued) and
          the scoreboard has not advanced since the issue pass looked *)
       if Ring.length st.fbuf > 0 then begin
-        let h = Ring.front st.fbuf in
-        let uses = st.static.(st.i_pc.(h)).s_uses in
-        let mem = ref false in
-        for k = 0 to Array.length uses - 1 do
-          let r = uses.(k) in
-          if st.ready.(r) > st.now && st.ready_src_load.(r) = 1 then
-            mem := true
-        done;
-        if !mem then Acct.c_memory else Acct.c_base
+        let si = st.static.(st.i_pc.(Ring.front st.fbuf)) in
+        if
+          waits_on_load st si.s_u0 || waits_on_load st si.s_u1
+          || waits_on_load st si.s_u2
+        then Acct.c_memory
+        else Acct.c_base
       end
       else Acct.c_base
     end

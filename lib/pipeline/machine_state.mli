@@ -93,13 +93,23 @@ val fsrc_icache : int
 val fsrc_redirect : int
 val fsrc_dbb : int
 
+val no_use : int
+(** The scoreboard's spare entry, [Reg.count]: [ready] has one slot more
+    than there are registers, and that slot is never written, so it
+    always reads 0 (ready). Absent source operands point at it. *)
+
 (** Per-pc decode products, computed once per {!create}: the fetch path
     never recomputes [Instr.defs]/[Instr.uses]/[Instr.fu_class] or the
     config latency per dynamic instruction. *)
 type static_info =
   { s_fu : int;  (** {!fu_int} .. {!fu_none} *)
     s_dst : int;  (** register index, -1 if none *)
-    s_uses : int array;  (** register indices, in [Instr.uses] order *)
+    s_u0 : int;
+        (** source register indices in [Instr.uses] order — an
+            instruction reads at most three — with {!no_use} where
+            absent, so an operand check is three loads and no loop *)
+    s_u1 : int;
+    s_u2 : int;
     s_latency : int;  (** base issue latency under the run's config *)
     s_mem_kind : int;  (** 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
@@ -170,7 +180,10 @@ end
 (** Release-time calendar giving O(1) structural-resource occupancy
     (MSHRs, store buffer): [schedule] an entry's release cycle, [drain]
     once per cycle, read [occupancy]. After [drain ~now], [occupancy]
-    counts exactly the entries with release cycle > [now]. *)
+    counts exactly the entries with release cycle > [now]. [drain] steps
+    through the cycles since the last drain only while something is
+    outstanding; on an empty calendar it is O(1) however far [now] has
+    jumped. *)
 module Release : sig
   type t
 
@@ -207,11 +220,15 @@ type t =
     mutable now : int;
     fbuf : Ring.t;
     pending : Ring.t;
-        (** issued-but-incomplete instructions, in seq order *)
+        (** issued-but-incomplete instructions, in seq order. Never holds
+            a squashed row: a flush cuts its wrong-path tail at once. *)
     mutable next_complete : int;
         (** lower bound on the earliest [complete_cycle] in [pending]
             (stale low is fine; the backend skips scans below it) *)
     ready : int array;
+        (** per register, the cycle its newest in-flight producer
+            completes; [Reg.count + 1] entries, the last ({!no_use})
+            always 0 *)
     mutable park_h : handle;
         (** operand-stall parking: the issue head known to be blocked on
             operands until [park_until] (-1 when nothing is parked).
@@ -247,7 +264,6 @@ type t =
     mutable i_addr : int array;
         (** load/store effective address, captured at fetch *)
     mutable i_complete_cycle : int array;
-    mutable i_squashed : int array;  (** 0 / 1 *)
     mutable i_prefetch : int array;
         (** runahead-prefetch arrival cycle; -1 when none *)
     mutable c_kind : int array;
@@ -274,11 +290,12 @@ type t =
         (** the row's own checkpoint storage ({!no_checkpoint} until the
             row first needs one); meaningful only while [c_has_ckpt] is 1,
             and kept across recycles *)
-    mutable pool_next : handle;  (** first never-allocated row *)
+    mutable pool_next : handle;
+        (** first never-allocated row. Pool invariant, between cycles:
+            every row below [pool_next] is in exactly one of [fbuf],
+            [pending] and the free list. *)
     mutable free_pool : int array;  (** recycled handles (a stack) *)
     mutable free_len : int;
-    mutable comp_buf : int array;  (** per-cycle completion scratch *)
-    mutable comp_len : int;
     oracle_scratch : int array;
     oracle_needed : bool;
         (** only the perfect predictor reads [~outcome] at predict time,
@@ -300,7 +317,8 @@ type t =
     mutable recovery_pc : int;
     ready_src_load : int array;
         (** per register: 1 when the producer that last raised [ready]
-            was a load (splits operand stalls into memory vs base) *)
+            was a load (splits operand stalls into memory vs base); read
+            only where [ready] > [now]. Sized like [ready]. *)
     mutable compiled : bool;
         (** Block-compiled fast path armed ({!Compile.attach}): the front
             end dispatches through [fetch_ops]/[run_len] instead of the
@@ -336,15 +354,18 @@ val alloc_inflight : t -> handle
     growing the pool if needed); the caller overwrites every field. *)
 
 val recycle_inflight : t -> handle -> unit
-(** Return a handle to the free list. The caller must guarantee it is no
-    longer reachable from the fetch buffer, the pending deque or the
-    completion scratch — a double recycle would hand the same row out
-    twice. Resets [c_kind], [c_site], [c_meta] and [c_has_ckpt]; the
-    row's checkpoint storage in [c_ckpt] stays for its next occupant. *)
+(** Return a handle to the free list. The caller must take it out of the
+    fetch buffer and the pending deque as well — a double recycle would
+    hand the same row out twice. Resets [c_kind], [c_site], [c_meta] and
+    [c_has_ckpt]; the row's [i_*] columns and its checkpoint storage in
+    [c_ckpt] stay as they were until the row is next allocated. *)
 
 val rebuild_scoreboard : t -> unit
-(** Recompute every register's ready cycle from the surviving in-flight
-    producers (squash repair). *)
+(** Recompute every register's ready cycle from the producers in
+    [pending] (squash repair). Only the set of rows matters, not their
+    order, so the completion pass may call it (through a flush) while
+    the deque is half compacted, as long as no row has been dropped
+    yet; see {!Backend.process_completions}. *)
 
 val line_of : t -> int -> int
 (** I-cache line index of a pc. *)

@@ -4,26 +4,15 @@ open Machine_state
 (* In-order issue from the fetch-buffer head: head-of-line blocking on
    operands, FU slots and memory structures (MSHRs / store buffer).
 
-   Hot path: operand checks walk the pre-decoded [uses] index arrays out
-   of the static table, memory-op classification is a pre-decoded int,
+   Hot path: operand checks are three loads through the static table's
+   fixed operand slots (absent ones hit the always-ready spare entry),
+   memory-op classification is a pre-decoded int,
    and MSHR / store-buffer occupancy is an O(1) counter read against the
    release calendars drained once at the top of the cycle. *)
 
-let operands_ready st (uses : int array) =
-  let n = Array.length uses in
-  let k = ref 0 in
-  while !k < n && st.ready.(uses.(!k)) <= st.now do
-    incr k
-  done;
-  !k = n
-
-let readiness st (uses : int array) =
-  let acc = ref 0 in
-  for k = 0 to Array.length uses - 1 do
-    let r = st.ready.(uses.(k)) in
-    if r > !acc then acc := r
-  done;
-  !acc
+let[@inline] readiness st si =
+  let ready = st.ready in
+  imax ready.(si.s_u0) (imax ready.(si.s_u1) ready.(si.s_u2))
 
 let issue st =
   let cfg = st.cfg in
@@ -64,7 +53,7 @@ let issue st =
             st.stats.Stats.operand_stall_cycles + 1;
           st.cycle_stall <- stall_operand;
           let slot = st.c_site.(h) in
-          if slot >= 0 then Stats.add_site_stall st.stats ~slot
+          if slot >= 0 then Stats.add_site_stall st.stats ~slot ~cycles:1
         end;
         blocked := true
       end
@@ -79,7 +68,8 @@ let issue st =
       else begin
         let si = st.static.(st.i_pc.(h)) in
         let addr = st.i_addr.(h) in
-        let operands_ready = operands_ready st si.s_uses in
+        let readiness = readiness st si in
+        let operands_ready = readiness <= st.now in
         let fu_ok = fu_left.(si.s_fu) > 0 in
         let mem_ok =
           if si.s_mem_kind = 1 then
@@ -99,7 +89,6 @@ let issue st =
             (* how long the condition kept this control instruction from
                resolving, past the front-end minimum: the measured
                per-site ASPCB (operand readiness, not queueing delay) *)
-            let readiness = readiness st si.s_uses in
             Stats.add_site_wait st.stats ~slot
               ~cycles:
                 (imax 0
@@ -157,7 +146,7 @@ let issue st =
                 st.stats.Stats.operand_stall_cycles + 1;
               st.cycle_stall <- stall_operand;
               let slot = st.c_site.(h) in
-              if slot >= 0 then Stats.add_site_stall st.stats ~slot
+              if slot >= 0 then Stats.add_site_stall st.stats ~slot ~cycles:1
             end
             else if not fu_ok then begin
               st.stats.Stats.fu_stall_cycles <-
@@ -175,7 +164,7 @@ let issue st =
                younger can issue past it, so this bound is stable. *)
             st.park_h <- h;
             st.park_seq <- st.i_seq.(h);
-            st.park_until <- readiness st si.s_uses
+            st.park_until <- readiness
           end;
           blocked := true
         end
@@ -203,7 +192,8 @@ let issue st =
       if st.i_prefetch.(h) < 0 then begin
         let si = st.static.(st.i_pc.(h)) in
         if si.s_mem_kind <> 0 then begin
-          if operands_ready st si.s_uses then begin
+          let r = readiness st si in
+          if r <= st.now then begin
             (* real runahead can only compute addresses whose inputs are
                available; chases behind pending loads stay opaque *)
             let addr = st.i_addr.(h) in
@@ -222,10 +212,7 @@ let issue st =
             end
             else st.i_prefetch.(h) <- st.now
           end
-          else begin
-            let r = readiness st si.s_uses in
-            if r < !bound then bound := r
-          end
+          else if r < !bound then bound := r
         end
       end;
       incr k

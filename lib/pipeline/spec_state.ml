@@ -111,22 +111,20 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     recycle_inflight st h
   done;
   Ring.drop_tail st.fbuf (len - cut);
-  (* A squashed pending entry whose complete_cycle has arrived is also
-     sitting in the completion scratch (collected before this flush ran)
-     and will be recycled there; one still in flight is reachable from
-     nowhere else once dropped, so it is recycled here. *)
+  (* The squashed pending tail is reachable from nowhere else once cut —
+     the completion pass stops at the cut too, even for rows whose
+     complete cycle has arrived — so every one is recycled here. *)
   let len = Ring.length st.pending in
   let cut = squash_point st st.pending ~from_seq in
   for k = cut to len - 1 do
     let h = Ring.get st.pending k in
-    st.i_squashed.(h) <- 1;
     if st.events_enabled then
       st.on_event (Squashed { cycle = st.now; seq = st.i_seq.(h) });
     st.stats.Stats.squashed_issued <- st.stats.Stats.squashed_issued + 1;
     if st.static.(st.i_pc.(h)).s_mem_kind = 2 then
       st.stores_retired <- st.stores_retired - 1;
     release_checkpoint st h;
-    if st.i_complete_cycle.(h) > st.now then recycle_inflight st h
+    recycle_inflight st h
   done;
   Ring.drop_tail st.pending (len - cut);
   rebuild_scoreboard st;

@@ -35,7 +35,9 @@ val log_depth : t -> int
 val flush : t -> from_seq:int -> checkpoint:checkpoint -> new_pc:int -> unit
 (** Roll architectural state back to [checkpoint], squash everything
     younger than [from_seq] in the fetch buffer and the pending list,
-    rebuild the scoreboard and redirect fetch to [new_pc]. *)
+    rebuild the scoreboard and redirect fetch to [new_pc]. Every
+    squashed row is cut from its queue and recycled here — pending rows
+    too, whether or not their complete cycle has arrived. *)
 
 val mispredict_flush : t -> handle -> unit
 (** [flush] driven by a mispredicting control instruction's own

@@ -105,8 +105,8 @@ let site_stall_cycles t site =
   let k = slot t site in
   if k >= 0 then t.site_stalls.(k) else 0
 
-let add_site_stall t ~slot =
-  t.site_stalls.(slot) <- t.site_stalls.(slot) + 1
+let add_site_stall t ~slot ~cycles =
+  t.site_stalls.(slot) <- t.site_stalls.(slot) + cycles
 
 let add_site_wait t ~slot ~cycles =
   t.site_wait_execs.(slot) <- t.site_wait_execs.(slot) + 1;

@@ -69,8 +69,8 @@ val dbb_avg_occupancy : t -> float
 val site_stall_cycles : t -> int -> int
 (** Stall cycles charged to a site id (0 for an unknown site). *)
 
-val add_site_stall : t -> slot:int -> unit
-(** Charge one stall cycle to a slot (see {!slot}). *)
+val add_site_stall : t -> slot:int -> cycles:int -> unit
+(** Charge [cycles] stall cycles to a slot (see {!slot}). *)
 
 val add_site_wait : t -> slot:int -> cycles:int -> unit
 (** Record one execution of a slot's site with its backlog cycles. *)

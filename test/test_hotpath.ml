@@ -93,7 +93,24 @@ let test_release_occupancy () =
   Release.drain c ~now:79;
   Alcotest.(check int) "wrapped slot pending" 1 (Release.occupancy c);
   Release.drain c ~now:80;
-  Alcotest.(check int) "wrapped slot released" 0 (Release.occupancy c)
+  Alcotest.(check int) "wrapped slot released" 0 (Release.occupancy c);
+  (* an empty calendar drains in O(1) however far [now] jumps (a skipped
+     stall); scheduling near the new cursor must still count exactly *)
+  Release.drain c ~now:10_000;
+  Alcotest.(check int) "empty after a far drain" 0 (Release.occupancy c);
+  Release.schedule c ~at:10_001;
+  Release.schedule c ~at:10_001;
+  Release.schedule c ~at:10_064;
+  Alcotest.(check int) "scheduled past the jump" 3 (Release.occupancy c);
+  Release.drain c ~now:10_000;
+  Alcotest.(check int) "nothing released at the cursor" 3
+    (Release.occupancy c);
+  Release.drain c ~now:10_001;
+  Alcotest.(check int) "first slot released" 1 (Release.occupancy c);
+  Release.drain c ~now:10_063;
+  Alcotest.(check int) "last slot still pending" 1 (Release.occupancy c);
+  Release.drain c ~now:10_064;
+  Alcotest.(check int) "drained dry again" 0 (Release.occupancy c)
 
 (* ---------------------------------------------------------- static table *)
 
@@ -138,10 +155,12 @@ let test_static_table_agrees () =
         | [] -> -1
       in
       Alcotest.(check int) (Printf.sprintf "dst @%d" pc) dst si.s_dst;
+      (* the fixed operand slots, padded with the always-ready spare *)
+      let uses = List.map Bv_isa.Reg.index (Bv_isa.Instr.uses instr) in
       Alcotest.(check (list int))
         (Printf.sprintf "uses @%d" pc)
-        (List.map Bv_isa.Reg.index (Bv_isa.Instr.uses instr))
-        (Array.to_list si.s_uses);
+        (uses @ List.init (3 - List.length uses) (fun _ -> no_use))
+        [ si.s_u0; si.s_u1; si.s_u2 ];
       let mem_kind =
         match instr with
         | Bv_isa.Instr.Load _ -> 1
@@ -204,7 +223,6 @@ let plain_row st ~seq =
   st.i_fetch_cycle.(h) <- 0;
   st.i_addr.(h) <- 0;
   st.i_complete_cycle.(h) <- max_int;
-  st.i_squashed.(h) <- 0;
   st.i_prefetch.(h) <- -1;
   h
 
@@ -268,6 +286,121 @@ let test_completion_compaction () =
     (seqs_of st st.pending);
   Alcotest.(check int) "completed rows recycled" (free0 + 3) st.free_len;
   Alcotest.(check int) "next completion" 20 st.next_complete
+
+(* -------------------------------------------------------- pool invariant *)
+
+(* Between cycles every pool row ever claimed is in exactly one of the
+   fetch buffer, the pending deque and the free list: a row in none has
+   leaked, a row in two would be handed out twice. *)
+let check_pool st ~what =
+  let marks = Array.make st.pool_next 0 in
+  let mark where h =
+    if h < 0 || h >= st.pool_next then
+      Alcotest.failf "%s: %s holds unclaimed row %d" what where h;
+    marks.(h) <- marks.(h) + 1
+  in
+  Ring.iter st.fbuf (mark "fbuf");
+  Ring.iter st.pending (mark "pending");
+  for k = 0 to st.free_len - 1 do
+    mark "free list" st.free_pool.(k)
+  done;
+  Array.iteri
+    (fun h n ->
+      if n <> 1 then
+        Alcotest.failf
+          "%s, cycle %d: row %d (seq %d) is in %d of fbuf / pending / free \
+           list"
+          what st.now h st.i_seq.(h) n)
+    marks
+
+(* [Machine.run]'s loop, one [Machine.step] at a time, with the pool
+   checked after each; the stepped run must end where [Machine.run]
+   does. Returns the squashed issued rows, so a corpus can show it did
+   exercise flushes that cut the pending deque. *)
+let run_checked ~what ~config image =
+  let st = Machine_state.create ~config image in
+  if Machine.compile_enabled () then Compile.attach st;
+  let max_cycles = 20_000_000 in
+  while (not st.finished) && st.now < max_cycles do
+    Machine.step st ~max_cycles ~on_cycle:None;
+    check_pool st ~what
+  done;
+  let r = Machine.run ~config image in
+  Alcotest.(check bool) (what ^ ": finished") true st.finished;
+  Alcotest.(check int)
+    (what ^ ": cycles as Machine.run")
+    r.Machine.stats.Stats.cycles st.stats.Stats.cycles;
+  st.stats.Stats.squashed_issued
+
+let test_pool_invariant_goldens () =
+  List.iter
+    (fun (what, config, image) ->
+      let squashed = run_checked ~what ~config (Lazy.force image) in
+      if squashed = 0 then Alcotest.failf "%s: no pending row squashed" what)
+    Golden_cases.cases
+
+let test_pool_invariant_fuzz () =
+  let squashed = ref 0 in
+  for seed = 0 to 24 do
+    let image =
+      Bv_ir.Layout.program (Bv_workloads.Fuzzgen.generate ~seed)
+    in
+    List.iter
+      (fun (name, config) ->
+        squashed :=
+          !squashed
+          + run_checked
+              ~what:(Printf.sprintf "fuzz seed %d, %s" seed name)
+              ~config image)
+      [ ("w4", Config.four_wide); ("w8 runahead", Golden_cases.runahead_w8) ]
+  done;
+  Alcotest.(check bool) "the corpus squashes pending rows" true (!squashed > 0)
+
+(* The single-pass flush hazard: a mispredicting branch completes in the
+   same cycle as a younger wrong-path load that has also completed. The
+   branch's flush cuts the pending deque right after it, so the load is
+   never reached by the completion pass and must be recycled by the
+   flush itself — or the row leaks. Older rows around the branch check
+   that the pass keeps compacting correctly up to the cut. *)
+let test_flush_same_cycle_completion () =
+  let st = fresh_state () in
+  let load_pc =
+    let rec find pc =
+      if st.static.(pc).s_mem_kind = 1 then pc else find (pc + 1)
+    in
+    find 0
+  in
+  st.now <- 10;
+  let row ~seq ~complete =
+    let h = plain_row st ~seq in
+    st.i_complete_cycle.(h) <- complete;
+    h
+  in
+  let older_done = row ~seq:0 ~complete:10 in
+  let older_busy = row ~seq:1 ~complete:25 in
+  let branch = row ~seq:2 ~complete:10 in
+  st.c_kind.(branch) <- ck_branch;
+  st.c_mispredict.(branch) <- 1;
+  st.c_redirect.(branch) <- 0;
+  st.c_dbb_slot.(branch) <- -1;
+  Spec_state.checkpoint_into st branch;
+  let load = row ~seq:3 ~complete:10 in
+  st.i_pc.(load) <- load_pc;
+  let younger_busy = row ~seq:4 ~complete:30 in
+  List.iter (Ring.push st.pending)
+    [ older_done; older_busy; branch; load; younger_busy ];
+  Ring.push st.fbuf (plain_row st ~seq:5);
+  st.next_complete <- 0;
+  Backend.process_completions st;
+  check_pool st ~what:"same-cycle flush";
+  Alcotest.(check (list int)) "only the older in-flight row survives" [ 1 ]
+    (seqs_of st st.pending);
+  Alcotest.(check int) "fetch buffer squashed" 0 (Ring.length st.fbuf);
+  Alcotest.(check int) "squashed_issued" 2 st.stats.Stats.squashed_issued;
+  Alcotest.(check int) "branch mispredicts" 1
+    st.stats.Stats.branch_mispredicts;
+  Alcotest.(check int) "no live checkpoint" 0 st.live_checkpoints;
+  Alcotest.(check int) "next completion" 25 st.next_complete
 
 (* ------------------------------------------------- allocation regression *)
 
@@ -334,7 +467,14 @@ let () =
         [ Alcotest.test_case "flush cuts the fetch-buffer tail" `Quick
             test_flush_fetch_tail;
           Alcotest.test_case "completion compaction" `Quick
-            test_completion_compaction
+            test_completion_compaction;
+          Alcotest.test_case "flush in the completion pass" `Quick
+            test_flush_same_cycle_completion
+        ] );
+      ( "pool invariant",
+        [ Alcotest.test_case "golden configs" `Quick
+            test_pool_invariant_goldens;
+          Alcotest.test_case "fuzz corpus" `Quick test_pool_invariant_fuzz
         ] );
       ( "allocation",
         [ Alcotest.test_case "words per instruction" `Quick

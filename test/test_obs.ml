@@ -121,8 +121,8 @@ let test_stats_golden () =
   s.Stats.dbb_samples <- 10;
   s.Stats.dbb_max_occupancy <- 4;
   let slot = Stats.slot s 7 in
-  Stats.add_site_stall s ~slot;
-  Stats.add_site_stall s ~slot;
+  Stats.add_site_stall s ~slot ~cycles:1;
+  Stats.add_site_stall s ~slot ~cycles:1;
   Stats.add_site_wait s ~slot ~cycles:3;
   Stats.add_site_wait s ~slot ~cycles:5;
   (* The schema contract consumed by external tooling: field names, order

@@ -35,7 +35,6 @@ let ctrl_inflight ?(mispredict = false) ?(redirect = 0) st ~seq =
   st.i_fetch_cycle.(h) <- st.now;
   st.i_addr.(h) <- -1;
   st.i_complete_cycle.(h) <- -1;
-  st.i_squashed.(h) <- 0;
   st.i_prefetch.(h) <- -1;
   st.c_kind.(h) <- ck_branch;
   st.c_mispredict.(h) <- (if mispredict then 1 else 0);
