@@ -69,7 +69,7 @@ let sample_interval_arg =
     & opt (some positive) None
     & info [ "sample-interval" ] ~doc ~docv:"CYCLES")
 
-(* -------------------------------------------- sampling & compilation *)
+(* ------------------------------------------------------------ sampling *)
 
 let sample_mode_arg =
   let doc =
@@ -101,25 +101,15 @@ let sample_warmup_arg =
     & opt positive Machine.default_sample_params.Machine.sp_warmup
     & info [ "sample-warmup" ] ~doc ~docv:"INSTRS")
 
-let no_compile_arg =
-  let doc =
-    "Disable the block-compiled fast path and simulate with interpreted \
-     dispatch (results are byte-identical either way; this is a \
-     performance switch). BV_NO_COMPILE=1 does the same globally."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let sample_params_of ~period ~detail ~warmup =
   { Machine.sp_period = period; sp_detail = detail; sp_warmup = warmup }
 
-let check_identity_arg =
-  let doc =
-    "Verify that the block-compiled fast path produces a byte-identical \
-     result to interpreted dispatch for this configuration (both sides of \
-     the transform), then exit. Non-zero exit on divergence. CI greps the \
-     identity ok:/error: line."
-  in
-  Arg.(value & flag & info [ "check-identity" ] ~doc)
+let sample_params_json p =
+  Bv_obs.Json.Obj
+    [ ("period", Bv_obs.Json.Int p.Machine.sp_period);
+      ("detail", Bv_obs.Json.Int p.Machine.sp_detail);
+      ("warmup", Bv_obs.Json.Int p.Machine.sp_warmup)
+    ]
 
 let write_json path json =
   if path = "-" then Bv_obs.Json.to_channel ~indent:true stdout json
@@ -141,6 +131,25 @@ let obj_add json fields =
    cooperating process. Read at report-construction time — i.e. after
    the command's work is done. *)
 let dag_field () = ("dag", Sim.counters_json (Sim.the ()))
+
+(* The fields every paired-run report opens with. *)
+let json_header ?spec ~width ~predictor ~inputs () =
+  let open Bv_obs.Json in
+  (("schema_version", Int schema_version)
+  ::
+  (match spec with
+  | Some s ->
+    [ ("benchmark", String s.Spec.name);
+      ("suite", String (Spec.suite_name s.Spec.suite))
+    ]
+  | None -> []))
+  @ [ ("width", Int width);
+      ("predictor", String (Kind.name predictor));
+      (match inputs with
+      | `Input i -> ("input", Int i)
+      | `Inputs l -> ("inputs", List (List.map (fun i -> Int i) l)));
+      ("scale", float (Runner.scale ()))
+    ]
 
 (* ------------------------------------------------------- interprocedural *)
 
@@ -200,179 +209,117 @@ let list_cmd =
 
 let run_cmd =
   let run name width input predictor json trace sample_interval sample_mode
-      sample_period sample_detail sample_warmup no_compile check_identity =
-    if no_compile then Machine.set_compile_default false;
+      sample_period sample_detail sample_warmup =
     match spec_of_name name with
     | Error e -> prerr_endline e; 1
-    | Ok spec when check_identity -> (
-      match
-        Sim.compiled_check ~predictor (Sim.the ()) spec ~input ~width
-      with
-      | idt ->
-        Printf.printf
-          "identity ok: %s w%d %s input %d (base %d cycles, exp %d cycles)\n"
-          name width (Kind.name predictor) input idt.Runner.idt_base_cycles
-          idt.Runner.idt_exp_cycles;
-        0
-      | exception Failure msg ->
-        Printf.printf "identity error: %s\n" msg;
-        1)
-    | Ok spec when sample_mode ->
-      let b = Sim.prepare ~predictor (Sim.the ()) spec in
+    | Ok spec ->
+      let sim = Sim.the () in
       let params =
         sample_params_of ~period:sample_period ~detail:sample_detail
           ~warmup:sample_warmup
       in
-      let sp = Runner.simulate_sampled ~predictor ~params b ~input ~width in
-      let ppf =
-        if json = Some "-" then Format.err_formatter else Format.std_formatter
+      let engine =
+        if sample_mode then Runner.Sampled params else Runner.Detailed
       in
-      Format.fprintf ppf
-        "%s, %d-wide, %s, input %d, sampled (period %d, detail %d, warmup \
-         %d)@.@."
-        name width (Kind.name predictor) input sample_period sample_detail
-        sample_warmup;
-      let show tag (s : Machine.sampled) =
-        let e = s.Machine.sam_estimate in
-        Format.fprintf ppf "--- %s ---@." tag;
-        Format.fprintf ppf "windows %d, coverage %.2f%% of %d instructions@."
-          (List.length e.Smarts.est_windows)
-          e.Smarts.est_coverage_pct e.Smarts.est_total_instrs;
-        Format.fprintf ppf
-          "estimated cycles %.0f, CPI %.4f \xc2\xb1 %.4f (95%% CI, \xc2\xb1 \
-           %.2f%%)@.@."
-          e.Smarts.est_cycles e.Smarts.est_cpi.Smarts.mean
-          (e.Smarts.est_cpi.Smarts.ci_high -. e.Smarts.est_cpi.Smarts.mean)
-          e.Smarts.est_cpi.Smarts.rel_err_pct
+      (* Detailed telemetry attaches samplers, cycle accounting and (with
+         --trace) Perfetto collectors; pids 1/2 keep the two runs side by
+         side in one trace document. *)
+      let collectors =
+        match trace with
+        | Some _ when not sample_mode ->
+          Some
+            ( Perfetto.create ~pid:1 ~process_name:"baseline" (),
+              Perfetto.create ~pid:2 ~process_name:"vanguard" () )
+        | _ -> None
       in
-      show "baseline" sp.Runner.samp_base;
-      show "decomposed-branch (vanguard)" sp.Runner.samp_exp;
-      Format.fprintf ppf "estimated speedup: %+.2f%%@."
-        sp.Runner.samp_speedup_pct;
-      (match json with
-      | None -> ()
-      | Some path ->
-        let side (s : Machine.sampled) =
-          Machine.result_to_json ~sampled:s.Machine.sam_estimate
-            s.Machine.sam_result
-        in
-        write_json path
-          (Bv_obs.Json.Obj
-             [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-               ("benchmark", Bv_obs.Json.String name);
-               ("suite", Bv_obs.Json.String (Spec.suite_name spec.Spec.suite));
-               ("width", Bv_obs.Json.Int width);
-               ("predictor", Bv_obs.Json.String (Kind.name predictor));
-               ("input", Bv_obs.Json.Int input);
-               ("scale", Bv_obs.Json.float (Runner.scale ()));
-               ( "sample_params",
-                 Bv_obs.Json.Obj
-                   [ ("period", Bv_obs.Json.Int sample_period);
-                     ("detail", Bv_obs.Json.Int sample_detail);
-                     ("warmup", Bv_obs.Json.Int sample_warmup)
-                   ] );
-               ("speedup_pct", Bv_obs.Json.float sp.Runner.samp_speedup_pct);
-               ("baseline", side sp.Runner.samp_base);
-               ("experimental", side sp.Runner.samp_exp);
-               summary_stats_field name (Gen.generate ~input spec);
-               dag_field ()
-             ]));
-      0
-    | Ok spec ->
-      let b = Sim.prepare ~predictor (Sim.the ()) spec in
-      let telemetry = json <> None || trace <> None in
-      let pair, inst, traces =
-        if telemetry then begin
-          (* The instrumented path re-simulates with samplers, cycle
-             accounting and (when --trace) Perfetto collectors attached;
-             pids 1/2 keep the two runs side by side in one trace
-             document. *)
-          let collector pid process_name =
-            if trace = None then None
-            else Some (Perfetto.create ~pid ~process_name ())
-          in
-          let base_tr = collector 1 "baseline" in
-          let exp_tr = collector 2 "vanguard" in
-          let tap = Option.map (fun t ev -> Perfetto.on_event t ev) in
-          let inst =
-            Runner.simulate_instrumented ~predictor ?sample_interval
-              ?on_base_event:(tap base_tr) ?on_exp_event:(tap exp_tr) b
-              ~input ~width
-          in
-          ( inst.Runner.pair,
-            Some inst,
-            (match (base_tr, exp_tr) with
-            | Some bt, Some et -> Some (bt, et)
-            | _ -> None) )
-        end
-        else (Runner.simulate ~predictor b ~input ~width, None, None)
+      let observe =
+        if sample_mode || (json = None && trace = None) then
+          Runner.no_observers
+        else
+          { Runner.acct = true;
+            windows =
+              Some
+                (Option.value sample_interval
+                   ~default:Sampler.default_interval);
+            taps =
+              Option.map
+                (fun (bt, et) -> (Perfetto.on_event bt, Perfetto.on_event et))
+                collectors
+          }
+      in
+      let p =
+        Sim.pair ~engine ~observe
+          ~config:(Config.make ~predictor ~width ())
+          sim
+          (Sim.prepare ~predictor sim spec)
+          ~input
       in
       (* With --json - the report owns stdout; the text goes to stderr. *)
       let ppf =
         if json = Some "-" then Format.err_formatter else Format.std_formatter
       in
-      let show tag (r : Machine.result) =
-        Format.fprintf ppf "--- %s ---@.%a@.L1-D miss rate %.3f@.@." tag
-          Stats.pp r.Machine.stats
-          (Bv_cache.Sa_cache.miss_rate (Bv_cache.Hierarchy.l1d r.Machine.hierarchy))
+      Format.fprintf ppf "%s, %d-wide, %s, input %d%s@.@." name width
+        (Kind.name predictor) input
+        (if sample_mode then
+           Printf.sprintf ", sampled (period %d, detail %d, warmup %d)"
+             sample_period sample_detail sample_warmup
+         else "");
+      let show tag (side : Runner.side) =
+        let r = side.Runner.result in
+        Format.fprintf ppf "--- %s ---@." tag;
+        match side.Runner.estimate with
+        | None ->
+          Format.fprintf ppf "%a@.L1-D miss rate %.3f@.@." Stats.pp
+            r.Machine.stats
+            (Bv_cache.Sa_cache.miss_rate
+               (Bv_cache.Hierarchy.l1d r.Machine.hierarchy))
+        | Some e ->
+          Format.fprintf ppf
+            "windows %d, coverage %.2f%% of %d instructions@."
+            (List.length e.Smarts.est_windows)
+            e.Smarts.est_coverage_pct e.Smarts.est_total_instrs;
+          Format.fprintf ppf
+            "estimated cycles %.0f, CPI %.4f \xc2\xb1 %.4f (95%% CI, \xc2\xb1 \
+             %.2f%%)@.@."
+            e.Smarts.est_cycles e.Smarts.est_cpi.Smarts.mean
+            (e.Smarts.est_cpi.Smarts.ci_high -. e.Smarts.est_cpi.Smarts.mean)
+            e.Smarts.est_cpi.Smarts.rel_err_pct
       in
-      Format.fprintf ppf "%s, %d-wide, %s, input %d@.@." name width
-        (Kind.name predictor) input;
-      show "baseline" pair.Runner.base;
-      show "decomposed-branch (vanguard)" pair.Runner.exp;
-      Format.fprintf ppf "speedup: %+.2f%%@." pair.Runner.speedup_pct;
-      (match (json, inst) with
-      | Some path, Some i ->
-        let side acct samples v =
-          obj_add v
-            [ ("samples", Sampler.to_json samples);
-              ("cpi_stack", Acct.cpi_stack_json acct);
-              ("top_branches", Acct.top_branches_json acct)
-            ]
+      show "baseline" p.Runner.base;
+      show "decomposed-branch (vanguard)" p.Runner.exp;
+      Format.fprintf ppf "%sspeedup: %+.2f%%@."
+        (if sample_mode then "estimated " else "")
+        p.Runner.speedup_pct;
+      (match json with
+      | None -> ()
+      | Some path ->
+        let pair_fields =
+          match Runner.pair_to_json p with
+          | Bv_obs.Json.Obj fields -> fields
+          | _ -> []
         in
-        let report =
-          match Runner.pair_to_json pair with
-          | Bv_obs.Json.Obj fields ->
-            Bv_obs.Json.Obj
-              (List.map
-                 (function
-                   | "baseline", v ->
-                     ( "baseline",
-                       side i.Runner.base_acct i.Runner.base_samples v )
-                   | "experimental", v ->
-                     ( "experimental",
-                       side i.Runner.exp_acct i.Runner.exp_samples v )
-                   | field -> field)
-                 fields)
-          | other -> other
+        let tail =
+          [ summary_stats_field name (Gen.generate ~input spec); dag_field () ]
         in
         write_json path
-          (obj_add
-             (Bv_obs.Json.Obj
-                [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-                  ("benchmark", Bv_obs.Json.String name);
-                  ("suite", Bv_obs.Json.String (Spec.suite_name spec.Spec.suite));
-                  ("width", Bv_obs.Json.Int width);
-                  ("predictor", Bv_obs.Json.String (Kind.name predictor));
-                  ("input", Bv_obs.Json.Int input);
-                  ("scale", Bv_obs.Json.float (Runner.scale ()));
-                  summary_stats_field name (Gen.generate ~input spec);
-                  dag_field ()
-                ])
-             (match report with Bv_obs.Json.Obj f -> f | _ -> []))
-      | _ -> ());
-      (match (trace, traces, inst) with
-      | Some path, Some (base_tr, exp_tr), Some i ->
+          (Bv_obs.Json.Obj
+             (json_header ~spec ~width ~predictor ~inputs:(`Input input) ()
+             @
+             if sample_mode then
+               (("sample_params", sample_params_json params) :: pair_fields)
+               @ tail
+             else tail @ pair_fields)));
+      (match (trace, collectors, p.Runner.base.Runner.samples,
+              p.Runner.exp.Runner.samples) with
+      | Some path, Some (base_tr, exp_tr), Some bs, Some es ->
         (* counter tracks ride the same pids as the span lanes, so the
            CPI stack overlays each run's instruction view *)
         write_json path
           (Bv_obs.Trace_event.document
              (Perfetto.events base_tr
-             @ Perfetto.cpi_counter_events ~pid:1
-                 (Sampler.windows i.Runner.base_samples)
+             @ Perfetto.cpi_counter_events ~pid:1 (Sampler.windows bs)
              @ Perfetto.events exp_tr
-             @ Perfetto.cpi_counter_events ~pid:2
-                 (Sampler.windows i.Runner.exp_samples)))
+             @ Perfetto.cpi_counter_events ~pid:2 (Sampler.windows es)))
       | _ -> ());
       0
   in
@@ -384,8 +331,7 @@ let run_cmd =
     Term.(
       const run $ bench_arg $ width_arg $ input_arg $ predictor_arg
       $ json_arg $ trace_arg $ sample_interval_arg $ sample_mode_arg
-      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg
-      $ no_compile_arg $ check_identity_arg)
+      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg)
 
 (* ------------------------------------------------------ sample-validate *)
 
@@ -406,20 +352,23 @@ let sample_validate_cmd =
     let err est full =
       if full = 0.0 then 0.0 else 100.0 *. Float.abs (est -. full) /. full
     in
+    let config = Config.make ~predictor ~width () in
     let rows =
       List.map
         (fun spec ->
-          let full = Sim.summary ~predictor t spec ~input ~width in
-          let samp = Sim.sampled ~predictor ~params t spec ~input ~width in
-          let base_err =
-            err samp.Runner.ss_base.Smarts.est_cpi.Smarts.mean
-              (cpi full.Runner.sum_base)
+          let b = Sim.bench t spec in
+          let full = Sim.pair ~config t b ~input in
+          let samp =
+            Sim.pair ~engine:(Runner.Sampled params) ~config t b ~input
           in
-          let exp_err =
-            err samp.Runner.ss_exp.Smarts.est_cpi.Smarts.mean
-              (cpi full.Runner.sum_exp)
+          let side_err (sampled : Runner.side) (exact : Runner.side) =
+            err
+              (Option.get sampled.Runner.estimate).Smarts.est_cpi.Smarts.mean
+              (cpi exact.Runner.result.Machine.stats)
           in
-          (spec.Spec.name, base_err, exp_err))
+          ( spec.Spec.name,
+            side_err samp.Runner.base full.Runner.base,
+            side_err samp.Runner.exp full.Runner.exp ))
         Suites.all
     in
     let failures = ref 0 in
@@ -452,17 +401,8 @@ let sample_validate_cmd =
     | Some path ->
       write_json path
         (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             ("width", Bv_obs.Json.Int width);
-             ("predictor", Bv_obs.Json.String (Kind.name predictor));
-             ("input", Bv_obs.Json.Int input);
-             ("scale", Bv_obs.Json.float (Runner.scale ()));
-             ( "sample_params",
-               Bv_obs.Json.Obj
-                 [ ("period", Bv_obs.Json.Int sample_period);
-                   ("detail", Bv_obs.Json.Int sample_detail);
-                   ("warmup", Bv_obs.Json.Int sample_warmup)
-                 ] );
+           (json_header ~width ~predictor ~inputs:(`Input input) ()
+           @ [ ("sample_params", sample_params_json params);
              ("max_cpi_err_pct", Bv_obs.Json.float max_cpi_err);
              ("worst_cpi_err_pct", Bv_obs.Json.float worst);
              ("violations", Bv_obs.Json.Int !failures);
@@ -477,7 +417,7 @@ let sample_validate_cmd =
                         ])
                     rows) );
              dag_field ()
-           ]));
+           ])));
     if !failures > 0 then 1 else 0
   in
   let max_cpi_err_arg =
@@ -506,15 +446,29 @@ let report_cmd =
     | Ok spec ->
       let sim = Sim.the () in
       let inputs = if all then Runner.input_indices () else [ input ] in
-      let acc =
+      let pairs =
         (* each accounted per-input run is a DAG node (flat tables, so
            the store holds them whole); they fan out across the fork
            pool with claim arbitration and merge pointwise *)
-        match Sim.accounted_list ~predictor sim spec ~inputs ~width with
-        | [] -> assert false
-        | first :: rest -> List.fold_left Runner.merge_accounted first rest
+        Sim.pairs
+          ~observe:{ Runner.no_observers with Runner.acct = true }
+          ~config:(Config.make ~predictor ~width ())
+          sim
+          (Sim.prepare ~predictor sim spec)
+          ~inputs
       in
-      let base = acc.Runner.acc_base and exp = acc.Runner.acc_exp in
+      let bases = List.map (fun p -> p.Runner.base) pairs
+      and exps = List.map (fun p -> p.Runner.exp) pairs in
+      let base = Runner.merged_acct bases and exp = Runner.merged_acct exps in
+      let total sides =
+        List.fold_left
+          (fun n side -> n + side.Runner.result.Machine.stats.Stats.cycles)
+          0 sides
+      in
+      let btotal = total bases and etotal = total exps in
+      let speedup_pct =
+        Runner.speedup_pct (Float.of_int btotal) (Float.of_int etotal)
+      in
       let ppf =
         if json = Some "-" then Format.err_formatter else Format.std_formatter
       in
@@ -522,9 +476,7 @@ let report_cmd =
         name width (Kind.name predictor)
         (if List.length inputs > 1 then "s" else "")
         (String.concat "," (List.map string_of_int inputs));
-      Format.fprintf ppf "speedup: %+.2f%%@.@." acc.Runner.acc_speedup_pct;
-      let btotal = acc.Runner.acc_base_cycles
-      and etotal = acc.Runner.acc_exp_cycles in
+      Format.fprintf ppf "speedup: %+.2f%%@.@." speedup_pct;
       let pct total n =
         if total > 0 then Text.f1 (100.0 *. Float.of_int n /. Float.of_int total)
         else "-"
@@ -624,20 +576,15 @@ let report_cmd =
         in
         write_json path
           (Obj
-             [ ("schema_version", Int schema_version);
-               ("benchmark", String name);
-               ("suite", String (Spec.suite_name spec.Spec.suite));
-               ("width", Int width);
-               ("predictor", String (Kind.name predictor));
-               ("inputs", List (List.map (fun i -> Int i) inputs));
-               ("scale", float (Runner.scale ()));
-               ("speedup_pct", float acc.Runner.acc_speedup_pct);
-               ("baseline", Acct.to_json base);
-               ("vanguard", Acct.to_json exp);
-               ("sites", List (List.map site_json ranked));
-               summary_stats_field name (Gen.generate ~input:(List.hd inputs) spec);
-               dag_field ()
-             ]));
+             (json_header ~spec ~width ~predictor ~inputs:(`Inputs inputs) ()
+             @ [ ("speedup_pct", float speedup_pct);
+                 ("baseline", Acct.to_json base);
+                 ("vanguard", Acct.to_json exp);
+                 ("sites", List (List.map site_json ranked));
+                 summary_stats_field name
+                   (Gen.generate ~input:(List.hd inputs) spec);
+                 dag_field ()
+               ])));
       0
   in
   let all_arg =
@@ -1346,9 +1293,15 @@ let advise_cmd =
           let b = Sim.prepare ~predictor sim spec in
           let checked =
             if validate then
+              let pair input =
+                Sim.pair
+                  ~observe:{ Runner.no_observers with Runner.acct = true }
+                  ~config:(Config.make ~predictor ~width ())
+                  sim b ~input
+              in
               Some
-                (Runner.advise_validate ~predictor ~config ~interproc ~inputs
-                   b ~width)
+                (Runner.advise_validate ~config ~interproc b
+                   (List.map pair inputs))
             else None
           in
           let advice =

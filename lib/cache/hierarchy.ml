@@ -109,6 +109,14 @@ let l1i t = t.l1i
 let l2 t = t.l2
 let l3 t = t.l3
 
+let snapshot t =
+  { t with
+    l1d = Sa_cache.snapshot t.l1d;
+    l1i = Sa_cache.snapshot t.l1i;
+    l2 = Sa_cache.snapshot t.l2;
+    l3 = Sa_cache.snapshot t.l3
+  }
+
 let reset_stats t =
   Sa_cache.reset_stats t.l1d;
   Sa_cache.reset_stats t.l1i;

@@ -56,5 +56,11 @@ val l3 : t -> Sa_cache.t
 
 val reset_stats : t -> unit
 
+val snapshot : t -> t
+(** Every level's {!Sa_cache.snapshot}: the configuration and counters
+    {!to_json} reports, without the tag stores, so a finished run's
+    hierarchy persists in a few hundred bytes. Not for further
+    accesses. *)
+
 val to_json : t -> Bv_obs.Json.t
 (** Latency configuration plus per-level {!Sa_cache.to_json} stats. *)

@@ -121,6 +121,8 @@ let stats t =
     writebacks = t.writebacks
   }
 
+let snapshot t = { t with tags = [||]; lru = [||] }
+
 let reset_stats t =
   t.accesses <- 0;
   t.misses <- 0;

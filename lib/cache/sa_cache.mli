@@ -32,6 +32,12 @@ val probe : t -> addr:int -> bool
 val invalidate_all : t -> unit
 val stats : t -> stats
 val reset_stats : t -> unit
+
+val snapshot : t -> t
+(** Geometry and counters without the tag store: what {!stats},
+    {!miss_rate} and {!to_json} read, in a few words. Not for further
+    accesses. *)
+
 val miss_rate : t -> float
 
 val to_json : t -> Bv_obs.Json.t

@@ -1,10 +1,7 @@
-(* Bump whenever any cached stage changes meaning — pipeline semantics,
-   node payload types, experiment row formulas: cached values from older
-   formats then miss instead of lying. (Format 1 was the pre-DAG
-   [.bench] artifact cache; format 3 added the block-compiled fast path
-   and the sample/compiled node kinds; format 4 sized [Stats.t]'s
-   per-site tables by the image's sites, adding [site_ids].) *)
-let code_format = 4
+(* Derived from the library sources at build time: any change to a
+   pipeline stage, a node payload type or an experiment row formula
+   gives new keys, so values from older code miss instead of lying. *)
+let code_format = Bv_stamp.Source_digest.bits
 
 type counters =
   { hits : int;

@@ -20,9 +20,11 @@
     byte-identical to [jobs:1]. *)
 
 val code_format : int
-(** Format stamp mixed into every key. Bump it whenever the meaning of
-    any cached stage changes — pipeline semantics, node payload types,
-    experiment row formulas — so stale entries miss instead of lying. *)
+(** Format stamp mixed into every key: the first 60 bits of an MD5 over
+    every OCaml source under [lib/], computed at build time. Any library
+    change — pipeline semantics, node payload types, experiment row
+    formulas — gives every node a new key, so stale entries miss instead
+    of lying. *)
 
 type t
 (** An engine: store directory, in-process memo and hit/miss counters. *)

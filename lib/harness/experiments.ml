@@ -162,10 +162,7 @@ let table2 ppf =
       ~label:(fun spec -> spec.Spec.name)
       (fun spec ->
         progress "table2 %s" spec.Spec.name;
-        (* avg speedup via the shared summary nodes — table2 and the
-           speedup figures then reuse each other's simulations *)
-        let spd = Sim.avg_speedup (Lazy.force sim) spec ~width:4 in
-        Metrics.table2_row ~spd (bench spec))
+        Metrics.table2_row (Lazy.force sim) (bench spec))
       (Suites.int_2006 @ Suites.fp_2006)
   in
   let rows =
@@ -227,8 +224,8 @@ let speedup_figure ?csv ppf ~title ~suite ~pick =
     ~headers:[ "Benchmark"; "2-wide"; "4-wide"; "8-wide"; "(4-wide bar)" ]
     (rows @ [ ("GEOMEAN" :: geos) @ [ "" ] ])
 
-let avg spec ~width = Sim.avg_speedup (Lazy.force sim) spec ~width
-let best spec ~width = Sim.best_speedup (Lazy.force sim) spec ~width
+let avg spec ~width = Sim.avg_speedup (Lazy.force sim) (bench spec) ~width
+let best spec ~width = Sim.best_speedup (Lazy.force sim) (bench spec) ~width
 
 let fig8 ppf =
   speedup_figure ~csv:"fig8" ppf
@@ -407,21 +404,17 @@ let dbb ppf =
        ~label:(Printf.sprintf "h264ref.e%d")
        (fun entries ->
          progress "dbb sweep %d entries" entries;
-         let b = bench (Option.get (Suites.find "h264ref")) in
-         let base_img = Runner.baseline_program b ~input:1 in
-         let exp_img = Runner.experimental_program b ~input:1 in
          let config =
            { (Config.make ~width:4 ()) with Config.dbb_entries = entries }
          in
-         let base = Machine.run ~config base_img in
-         let exp = Machine.run ~config exp_img in
-         let spd =
-           100.0
-           *. (Float.of_int base.Machine.stats.Stats.cycles
-               /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-              -. 1.0)
+         let p =
+           Sim.pair ~config (Lazy.force sim)
+             (bench (Option.get (Suites.find "h264ref")))
+             ~input:1
          in
-         (entries, spd, exp.Machine.stats.Stats.dbb_full_stalls))
+         ( entries,
+           p.Runner.speedup_pct,
+           p.Runner.exp.Runner.result.Machine.stats.Stats.dbb_full_stalls ))
        [ 1; 2; 4; 8; 16; 32 ])
 
 (* ------------------------------------------------------------ ablations *)
@@ -439,7 +432,7 @@ let ablation_hoist ppf =
         progress "abl-hoist %s cap=%d" name cap;
         let spec = Option.get (Suites.find name) in
         let b = Sim.prepare ~max_hoist:cap (Lazy.force sim) spec in
-        Text.f1 (Runner.avg_speedup b ~width:4))
+        Text.f1 (Sim.avg_speedup (Lazy.force sim) b ~width:4))
       (List.concat_map
          (fun name -> List.map (fun cap -> (name, cap)) caps)
          names)
@@ -470,7 +463,7 @@ let ablation_select ppf =
             (List.map
                (fun spec ->
                  let b = Sim.prepare ~threshold:th (Lazy.force sim) spec in
-                 ( Runner.avg_speedup b ~width:4,
+                 ( Sim.avg_speedup (Lazy.force sim) b ~width:4,
                    Vanguard.Select.pbc (Runner.selection b) ))
                Suites.int_2006)
         in
@@ -618,19 +611,20 @@ let runahead ppf =
       (fun name ->
         progress "runahead %s" name;
         let b = bench (Option.get (Suites.find name)) in
-        let base_img = Runner.baseline_program b ~input:1 in
-        let exp_img = Runner.experimental_program b ~input:1 in
-        let cycles ~ra img =
-          let config = { (Config.make ~width:4 ()) with Config.runahead = ra } in
-          (Machine.run ~config img).Machine.stats.Stats.cycles
+        let cycles ~ra =
+          let config =
+            { (Config.make ~width:4 ()) with Config.runahead = ra }
+          in
+          let p = Sim.pair ~config (Lazy.force sim) b ~input:1 in
+          let c side = side.Runner.result.Machine.stats.Stats.cycles in
+          (c p.Runner.base, c p.Runner.exp)
         in
-        let base = cycles ~ra:false base_img in
-        let pct c = Text.f1 (100.0 *. ((Float.of_int base /. Float.of_int c) -. 1.0)) in
-        [ name;
-          pct (cycles ~ra:false exp_img);
-          pct (cycles ~ra:true base_img);
-          pct (cycles ~ra:true exp_img)
-        ])
+        let base, exp = cycles ~ra:false in
+        let ra_base, ra_exp = cycles ~ra:true in
+        let pct c =
+          Text.f1 (100.0 *. ((Float.of_int base /. Float.of_int c) -. 1.0))
+        in
+        [ name; pct exp; pct ra_base; pct ra_exp ])
       names
   in
   emit ~csv:"runahead" ppf

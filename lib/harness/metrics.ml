@@ -99,17 +99,12 @@ type row =
     piscs : float
   }
 
-let table2_row ?spd bench =
+let table2_row sim bench =
   let spec = Runner.spec bench in
-  let spd =
-    match spd with
-    | Some spd -> spd
-    | None -> Runner.avg_speedup bench ~width:4
-  in
-  let pair = Runner.simulate bench ~input:1 ~width:4 in
-  let base = pair.Runner.base in
+  let config = Config.make ~width:4 () in
+  let base = (Sim.pair ~config sim bench ~input:1).Runner.base.Runner.result in
   { name = spec.Spec.name;
-    spd;
+    spd = Sim.avg_speedup sim bench ~width:4;
     pbc = Vanguard.Select.pbc (Runner.selection bench);
     pdih = pdih bench;
     alpbb = alpbb (Gen.generate ~input:1 spec);

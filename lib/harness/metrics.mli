@@ -36,11 +36,11 @@ type row =
     piscs : float
   }
 
-val table2_row : ?spd:float -> Runner.bench -> row
+val table2_row : Sim.t -> Runner.bench -> row
 (** Computes all Table 2 columns at the paper's 4-wide configuration,
-    averaged over REF inputs. Pass [spd] when the caller already holds
-    the average speedup (e.g. from {!Sim.avg_speedup}'s cached summary
-    nodes) to avoid recomputing it. *)
+    averaged over REF inputs, from [sim]'s paired-run nodes (so the
+    speedup figures and this row share simulations). [bench] must come
+    from [sim]'s {!Sim.prepare}. *)
 
 val row_to_json : row -> Bv_obs.Json.t
 (** The row keyed by its (lowercase) Table 2 column names. *)

@@ -5,12 +5,6 @@ open Bv_ir
 open Bv_pipeline
 open Bv_workloads
 
-type sim_pair =
-  { base : Machine.result;
-    exp : Machine.result;
-    speedup_pct : float
-  }
-
 type bench =
   { spec : Spec.t;
     profile : Bv_profile.Profile.t;
@@ -21,7 +15,7 @@ type bench =
     experimental_static : int;
     images : (int, Layout.image * Layout.image) Hashtbl.t;
     digests : (int, int * int) Hashtbl.t;
-    memo : (string, sim_pair) Hashtbl.t
+    origin : string option
   }
 
 (* Read BV_SCALE once: every artifact-cache key and every scaled spec in
@@ -78,14 +72,14 @@ let prepare ?(predictor = Kind.Tournament) ?(threshold = 0.05) ?max_hoist
           .Layout.code;
       images = Hashtbl.create 8;
       digests = Hashtbl.create 8;
-      memo = Hashtbl.create 32
+      origin = None
     }
   in
   bench
 
 (* The pure, closure-free payload of a prepared bench — what {!Sim}
-   persists to the on-disk artifact cache. The memo hashtables are
-   rebuilt empty on import. *)
+   persists to the on-disk artifact cache. The image and digest tables
+   are rebuilt empty on import. *)
 type artifact =
   { a_spec : Spec.t;
     a_profile : Bv_profile.Profile.t;
@@ -106,7 +100,7 @@ let export b =
     a_experimental_static = b.experimental_static
   }
 
-let import a =
+let import ~origin a =
   { spec = a.a_spec;
     profile = a.a_profile;
     selection = a.a_selection;
@@ -116,9 +110,10 @@ let import a =
     experimental_static = a.a_experimental_static;
     images = Hashtbl.create 8;
     digests = Hashtbl.create 8;
-    memo = Hashtbl.create 32
+    origin = Some origin
   }
 
+let origin b = b.origin
 let spec b = b.spec
 let profile b = b.profile
 let selection b = b.selection
@@ -161,281 +156,158 @@ let reference_digests b ~input =
     Hashtbl.replace b.digests input d;
     d
 
-let cache_tag (c : Hierarchy.config) =
-  Printf.sprintf "%d.%d.%d.%d.%d" c.Hierarchy.l1d_bytes c.Hierarchy.l1i_bytes
-    c.Hierarchy.l2_bytes c.Hierarchy.l3_bytes c.Hierarchy.mem_latency
-
-let simulate ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) b ~input ~width =
-  let key =
-    Printf.sprintf "i%d.w%d.%s.%s" input width (Kind.name predictor)
-      (cache_tag cache)
-  in
-  match Hashtbl.find_opt b.memo key with
-  | Some pair -> pair
-  | None ->
-    let base_img, exp_img = images b ~input in
-    let dbase, dexp = reference_digests b ~input in
-    let config = Config.make ~predictor ~cache ~width () in
-    let base = Machine.run ~config base_img in
-    let exp = Machine.run ~config exp_img in
-    let check name want (got : Machine.result) =
-      if not got.Machine.finished then
-        failwith
-          (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-             name);
-      if got.Machine.arch_digest <> want then
-        failwith
-          (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-             b.spec.Spec.name name)
-    in
-    check "baseline" dbase base;
-    check "experimental" dexp exp;
-    let speedup_pct =
-      100.0
-      *. (Float.of_int base.Machine.stats.Stats.cycles
-          /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-         -. 1.0)
-    in
-    let pair = { base; exp; speedup_pct } in
-    Hashtbl.replace b.memo key pair;
-    pair
-
 let input_indices () = List.init Suites.ref_inputs (fun k -> k + 1)
 
-let avg_speedup ?predictor ?cache b ~width =
-  Agg.mean
-    (List.map
-       (fun input -> (simulate ?predictor ?cache b ~input ~width).speedup_pct)
-       (input_indices ()))
+(* ------------------------------------------------------- paired runs -- *)
 
-let best_speedup ?predictor ?cache b ~width =
-  Agg.max_or 0.0
-    (List.map
-       (fun input -> (simulate ?predictor ?cache b ~input ~width).speedup_pct)
-       (input_indices ()))
+type engine = Detailed | Sampled of Machine.sample_params
 
-(* The marshal-safe essence of a paired run — what the experiment DAG
-   persists for speedup/stat rows ({!Machine.result} itself drags the
-   cache hierarchy and config along, so it never crosses the store). *)
+type observe =
+  { acct : bool;
+    windows : int option;
+    taps : ((Machine.event -> unit) * (Machine.event -> unit)) option
+  }
+
+let no_observers = { acct = false; windows = None; taps = None }
+
+type side =
+  { result : Machine.result;
+    acct : Acct.t option;
+    samples : Sampler.t option;
+    estimate : Smarts.estimate option
+  }
+
+type pair =
+  { base : side;
+    exp : side;
+    speedup_pct : float
+  }
+
+let speedup_pct base exp = 100.0 *. ((base /. Float.max 1.0 exp) -. 1.0)
+
+let engine_name = function
+  | Detailed -> "detailed"
+  | Sampled p ->
+    Printf.sprintf "sampled %d/%d/%d" p.Machine.sp_period p.Machine.sp_detail
+      p.Machine.sp_warmup
+
+let run_side ~engine ~observe ~config tap image =
+  match (engine, observe) with
+  | Detailed, _ ->
+    let acct =
+      if observe.acct then Some (Acct.create image.Layout.code) else None
+    in
+    let samples =
+      Option.map
+        (fun interval -> Sampler.create ~interval ?acct ())
+        observe.windows
+    in
+    let on_cycle =
+      Option.map
+        (fun s ~cycle ~stats ~dbb_occupancy ->
+          Sampler.observe s ~cycle ~stats ~dbb_occupancy)
+        samples
+    in
+    let result = Machine.run ?on_event:tap ?on_cycle ?acct ~config image in
+    Option.iter Sampler.finish samples;
+    { result; acct; samples; estimate = None }
+  | Sampled params, { acct = false; windows = None; taps = None } ->
+    let s = Machine.run_sampled ~params ~config image in
+    { result = s.Machine.sam_result;
+      acct = None;
+      samples = None;
+      estimate = Some s.Machine.sam_estimate
+    }
+  | Sampled _, _ -> invalid_arg "Runner.pair: a sampled run takes no observers"
+
+let pair ?(engine = Detailed) ?(observe = no_observers) ~config b ~input =
+  let base_img, exp_img = images b ~input in
+  let dbase, dexp = reference_digests b ~input in
+  let base_tap, exp_tap =
+    match observe.taps with
+    | Some (bt, et) -> (Some bt, Some et)
+    | None -> (None, None)
+  in
+  let base = run_side ~engine ~observe ~config base_tap base_img in
+  let exp = run_side ~engine ~observe ~config exp_tap exp_img in
+  (* Sampled runs fast-forward with committed semantics, so their
+     architectural results must match the interpreter exactly too. *)
+  let check name want side =
+    let r = side.result in
+    let fail what =
+      failwith
+        (Printf.sprintf "%s/%s (input %d, %d-wide, %s, %s): %s"
+           b.spec.Spec.name name input config.Config.width
+           (Kind.name config.Config.predictor)
+           (engine_name engine) what)
+    in
+    if not r.Machine.finished then fail "simulation hit a run limit";
+    if r.Machine.arch_digest <> want then
+      fail "timing model diverged from the interpreter";
+    (* the tag stores are dead weight once the run is over *)
+    { side with
+      result =
+        { r with Machine.hierarchy = Hierarchy.snapshot r.Machine.hierarchy }
+    }
+  in
+  let base = check "baseline" dbase base in
+  let exp = check "experimental" dexp exp in
+  let cycles side =
+    match side.estimate with
+    | Some e -> e.Smarts.est_cycles
+    | None -> Float.of_int side.result.Machine.stats.Stats.cycles
+  in
+  { base; exp; speedup_pct = speedup_pct (cycles base) (cycles exp) }
+
+let merged_acct sides =
+  let acct side =
+    match side.acct with
+    | Some a -> a
+    | None -> invalid_arg "Runner.merged_acct: a side ran without accounting"
+  in
+  match sides with
+  | [] -> invalid_arg "Runner.merged_acct: no runs"
+  | first :: rest ->
+    List.fold_left (fun a side -> Acct.merge a (acct side)) (acct first) rest
+
+(* The marshal-safe essence of a paired run that perfbench and the
+   experiment tables read: the speedup and both runs' counters. *)
 type sim_summary =
   { sum_speedup_pct : float;
     sum_base : Stats.t;
     sum_exp : Stats.t
   }
 
-let summarize pair =
-  { sum_speedup_pct = pair.speedup_pct;
-    sum_base = pair.base.Machine.stats;
-    sum_exp = pair.exp.Machine.stats
+let summarize p =
+  { sum_speedup_pct = p.speedup_pct;
+    sum_base = p.base.result.Machine.stats;
+    sum_exp = p.exp.result.Machine.stats
   }
 
-let pair_to_json pair =
+let side_to_json s =
+  match Machine.result_to_json ?sampled:s.estimate s.result with
+  | Bv_obs.Json.Obj fields ->
+    Bv_obs.Json.Obj
+      (fields
+      @ (match s.samples with
+        | Some w -> [ ("samples", Sampler.to_json w) ]
+        | None -> [])
+      @
+      match s.acct with
+      | Some a ->
+        [ ("cpi_stack", Acct.cpi_stack_json a);
+          ("top_branches", Acct.top_branches_json a)
+        ]
+      | None -> [])
+  | other -> other
+
+let pair_to_json p =
   let open Bv_obs.Json in
   Obj
-    [ ("speedup_pct", float pair.speedup_pct);
-      ("baseline", Machine.result_to_json pair.base);
-      ("experimental", Machine.result_to_json pair.exp)
+    [ ("speedup_pct", float p.speedup_pct);
+      ("baseline", side_to_json p.base);
+      ("experimental", side_to_json p.exp)
     ]
-
-type instrumented =
-  { pair : sim_pair;
-    base_samples : Sampler.t;
-    exp_samples : Sampler.t;
-    base_acct : Acct.t;
-    exp_acct : Acct.t
-  }
-
-let simulate_instrumented ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) ?sample_interval ?on_base_event
-    ?on_exp_event b ~input ~width =
-  let base_img, exp_img = images b ~input in
-  let dbase, dexp = reference_digests b ~input in
-  let config = Config.make ~predictor ~cache ~width () in
-  let instrumented_run ?on_event img sampler acct =
-    Machine.run ?on_event
-      ~on_cycle:(fun ~cycle ~stats ~dbb_occupancy ->
-        Sampler.observe sampler ~cycle ~stats ~dbb_occupancy)
-      ~acct ~config img
-  in
-  let base_acct = Acct.create base_img.Layout.code in
-  let exp_acct = Acct.create exp_img.Layout.code in
-  let base_samples =
-    Sampler.create ?interval:sample_interval ~acct:base_acct ()
-  in
-  let exp_samples =
-    Sampler.create ?interval:sample_interval ~acct:exp_acct ()
-  in
-  let base =
-    instrumented_run ?on_event:on_base_event base_img base_samples base_acct
-  in
-  let exp =
-    instrumented_run ?on_event:on_exp_event exp_img exp_samples exp_acct
-  in
-  Sampler.finish base_samples;
-  Sampler.finish exp_samples;
-  let check name want (got : Machine.result) =
-    if not got.Machine.finished then
-      failwith
-        (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-           name);
-    if got.Machine.arch_digest <> want then
-      failwith
-        (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-           b.spec.Spec.name name)
-  in
-  check "baseline" dbase base;
-  check "experimental" dexp exp;
-  let speedup_pct =
-    100.0
-    *. (Float.of_int base.Machine.stats.Stats.cycles
-        /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-       -. 1.0)
-  in
-  { pair = { base; exp; speedup_pct };
-    base_samples;
-    exp_samples;
-    base_acct;
-    exp_acct
-  }
-
-(* The marshal-safe subset of an accounted run: what a fork-pool worker
-   returns to the parent for cross-input aggregation ({!Acct.t} is flat
-   int arrays plus the code, all plain data). *)
-type accounted =
-  { acc_base_cycles : int;
-    acc_exp_cycles : int;
-    acc_speedup_pct : float;
-    acc_base : Acct.t;
-    acc_exp : Acct.t
-  }
-
-let simulate_accounted ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) b ~input ~width =
-  let base_img, exp_img = images b ~input in
-  let dbase, dexp = reference_digests b ~input in
-  let config = Config.make ~predictor ~cache ~width () in
-  let acc_base = Acct.create base_img.Layout.code in
-  let acc_exp = Acct.create exp_img.Layout.code in
-  let base = Machine.run ~acct:acc_base ~config base_img in
-  let exp = Machine.run ~acct:acc_exp ~config exp_img in
-  let check name want (got : Machine.result) =
-    if not got.Machine.finished then
-      failwith
-        (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-           name);
-    if got.Machine.arch_digest <> want then
-      failwith
-        (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-           b.spec.Spec.name name)
-  in
-  check "baseline" dbase base;
-  check "experimental" dexp exp;
-  let base_cycles = base.Machine.stats.Stats.cycles in
-  let exp_cycles = exp.Machine.stats.Stats.cycles in
-  { acc_base_cycles = base_cycles;
-    acc_exp_cycles = exp_cycles;
-    acc_speedup_pct =
-      100.0
-      *. (Float.of_int base_cycles /. Float.of_int (max 1 exp_cycles) -. 1.0);
-    acc_base;
-    acc_exp
-  }
-
-let merge_accounted a b =
-  { acc_base_cycles = a.acc_base_cycles + b.acc_base_cycles;
-    acc_exp_cycles = a.acc_exp_cycles + b.acc_exp_cycles;
-    acc_speedup_pct =
-      100.0
-      *. (Float.of_int (a.acc_base_cycles + b.acc_base_cycles)
-          /. Float.of_int (max 1 (a.acc_exp_cycles + b.acc_exp_cycles))
-         -. 1.0);
-    acc_base = Acct.merge a.acc_base b.acc_base;
-    acc_exp = Acct.merge a.acc_exp b.acc_exp
-  }
-
-(* --------------------------------------------- sampled & compiled -- *)
-
-type sampled_pair =
-  { samp_base : Machine.sampled;
-    samp_exp : Machine.sampled;
-    samp_speedup_pct : float
-  }
-
-let simulate_sampled ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) ?params b ~input ~width =
-  let base_img, exp_img = images b ~input in
-  let dbase, dexp = reference_digests b ~input in
-  let config = Config.make ~predictor ~cache ~width () in
-  let base = Machine.run_sampled ?params ~config base_img in
-  let exp = Machine.run_sampled ?params ~config exp_img in
-  (* Fast-forward is committed-semantics functional execution, so the
-     architectural results must still match the interpreter exactly —
-     only the timing is an estimate. *)
-  let check name want (got : Machine.sampled) =
-    let r = got.Machine.sam_result in
-    if not r.Machine.finished then
-      failwith
-        (Printf.sprintf "%s/%s: sampled simulation hit a run limit"
-           b.spec.Spec.name name);
-    if r.Machine.arch_digest <> want then
-      failwith
-        (Printf.sprintf
-           "%s/%s: sampled run diverged architecturally from the interpreter"
-           b.spec.Spec.name name)
-  in
-  check "baseline" dbase base;
-  check "experimental" dexp exp;
-  let bc = base.Machine.sam_estimate.Smarts.est_cycles in
-  let ec = exp.Machine.sam_estimate.Smarts.est_cycles in
-  { samp_base = base;
-    samp_exp = exp;
-    samp_speedup_pct = 100.0 *. ((bc /. Float.max 1.0 ec) -. 1.0)
-  }
-
-(* The marshal-safe essence of a sampled pair: both extrapolated
-   estimates (plain floats/ints/lists throughout) and the speedup they
-   imply — what the DAG persists for sample nodes. *)
-type sampled_summary =
-  { ss_speedup_pct : float;
-    ss_base : Smarts.estimate;
-    ss_exp : Smarts.estimate
-  }
-
-let summarize_sampled s =
-  { ss_speedup_pct = s.samp_speedup_pct;
-    ss_base = s.samp_base.Machine.sam_estimate;
-    ss_exp = s.samp_exp.Machine.sam_estimate
-  }
-
-(* Marshal-safe witness that the block-compiled fast path reproduced the
-   interpreted run byte-for-byte on one paired config. *)
-type identity =
-  { idt_base_cycles : int;
-    idt_exp_cycles : int
-  }
-
-let compiled_identity ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) b ~input ~width =
-  let base_img, exp_img = images b ~input in
-  let config = Config.make ~predictor ~cache ~width () in
-  let side name img =
-    let compiled = Machine.run ~compile:true ~config img in
-    let interp = Machine.run ~compile:false ~config img in
-    let jc = Bv_obs.Json.to_string (Machine.result_to_json compiled) in
-    let ji = Bv_obs.Json.to_string (Machine.result_to_json interp) in
-    if not (String.equal jc ji) then
-      failwith
-        (Printf.sprintf
-           "%s/%s: compiled run is not byte-identical to interpreted"
-           b.spec.Spec.name name);
-    compiled
-  in
-  let base = side "baseline" base_img in
-  let exp = side "experimental" exp_img in
-  { idt_base_cycles = base.Machine.stats.Stats.cycles;
-    idt_exp_cycles = exp.Machine.stats.Stats.cycles
-  }
 
 (* ------------------------------------------------- advise & validate -- *)
 
@@ -464,29 +336,19 @@ let max_outstanding_of program =
     (fun acc p -> max acc (Bv_analysis.Speculation.max_outstanding p))
     0 program.Program.procs
 
-let advise_validate ?predictor ?cache ?config ?interproc ?inputs b ~width =
+let advise_validate ?config ?interproc b pairs =
   let advice = advise ?config ?interproc b in
-  let inputs = Option.value inputs ~default:[ 1 ] in
-  let acc =
-    match
-      List.map
-        (fun input -> simulate_accounted ?predictor ?cache b ~input ~width)
-        inputs
-    with
-    | [] -> invalid_arg "Runner.advise_validate: no inputs"
-    | first :: rest -> List.fold_left merge_accounted first rest
-  in
   (* Measured cost per site: the baseline run's recovery cycles — what a
      mispredicting branch actually stalls the front end for, the quantity
      the static cycles-saved ranking claims to predict. *)
   let measured =
     List.map
       (fun sa -> (sa.Acct.sa_site, Float.of_int sa.Acct.sa_recovery))
-      (Acct.by_site acc.acc_base)
+      (Acct.by_site (merged_acct (List.map (fun p -> p.base) pairs)))
   in
   { ac_advice = advice;
     ac_validation = Bv_analysis.Advisor.validate ~measured advice;
-    ac_inputs = List.length inputs;
+    ac_inputs = List.length pairs;
     ac_max_outstanding =
       max_outstanding_of b.transform.Vanguard.Transform.program
   }

@@ -1,9 +1,9 @@
 (** End-to-end per-benchmark pipeline: generate → profile (TRAIN) →
-    select → transform → schedule → simulate (REF inputs), with memoised
-    simulation results so multiple experiments can share runs. *)
+    select → transform → schedule → simulate (REF inputs). {!pair} is the
+    one paired baseline-vs-decomposed run; {!Sim} memoises it as a DAG
+    node so experiments share runs. *)
 
 open Bv_bpred
-open Bv_cache
 open Bv_pipeline
 open Bv_workloads
 
@@ -17,12 +17,19 @@ val scale : unit -> float
 
 type artifact
 (** The pure (marshal-safe) payload of a prepared bench: spec, profile,
-    selection, transform and static sizes — everything except the memo
-    tables. Persisted by {!Sim}'s artifact cache. *)
+    selection, transform and static sizes — everything except the image
+    and digest tables. Persisted by {!Sim}'s artifact cache. *)
 
 val export : bench -> artifact
-val import : artifact -> bench
-(** [import (export b)] is an equivalent bench with empty memo tables. *)
+
+val import : origin:string -> artifact -> bench
+(** [import ~origin (export b)] is an equivalent bench with empty image
+    and digest tables; [origin] is the key of the DAG prepare node the
+    artifact came from. *)
+
+val origin : bench -> string option
+(** The prepare-node key passed to {!import}; [None] for a bench from
+    {!prepare}. {!Sim} keys paired-run nodes by it. *)
 
 val prepare :
   ?predictor:Kind.t -> ?threshold:float -> ?max_hoist:int -> Spec.t -> bench
@@ -45,152 +52,89 @@ val piscs : bench -> float
 val baseline_program : bench -> input:int -> Bv_ir.Layout.image
 val experimental_program : bench -> input:int -> Bv_ir.Layout.image
 
-type sim_pair =
-  { base : Machine.result;
-    exp : Machine.result;
-    speedup_pct : float  (** 100 * (base cycles / exp cycles - 1) *)
-  }
-
-val simulate :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  sim_pair
-(** Simulate one REF input at one width, baseline vs. transformed. Results
-    are memoised per (input, width, predictor, cache geometry). Raises
-    [Failure] if either run diverges from the functional interpreter's
-    architectural digest. *)
-
-val avg_speedup :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> bench -> width:int -> float
-(** Mean over REF inputs of the per-input speedup (the paper's
-    "averaged over all reference inputs"). *)
-
-val best_speedup :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> bench -> width:int -> float
-
 val input_indices : unit -> int list
 (** The REF input indices, [1 .. Suites.ref_inputs]. *)
 
-val pair_to_json : sim_pair -> Bv_obs.Json.t
-(** Speedup plus both runs' {!Machine.result_to_json}. *)
+(** {2 Paired runs} *)
+
+type engine =
+  | Detailed  (** {!Machine.run}: every cycle simulated *)
+  | Sampled of Machine.sample_params
+      (** {!Machine.run_sampled}: SMARTS windows, timing extrapolated *)
+
+type observe =
+  { acct : bool;  (** cycle accounting ({!Acct}) on both sides *)
+    windows : int option;
+        (** interval samplers ({!Sampler}) with this window in cycles,
+            recording CPI-stack deltas when [acct] is on *)
+    taps : ((Machine.event -> unit) * (Machine.event -> unit)) option
+        (** live pipeline-event taps, baseline then experimental (e.g.
+            {!Perfetto} collectors) *)
+  }
+(** What to attach to both runs of a pair. Observers never perturb
+    timing: every counter is identical with or without them. *)
+
+val no_observers : observe
+
+type side =
+  { result : Machine.result;
+        (** its hierarchy is a {!Bv_cache.Hierarchy.snapshot}: counters
+            only, no tag stores *)
+    acct : Acct.t option;  (** with [observe.acct] *)
+    samples : Sampler.t option;  (** with [observe.windows], finished *)
+    estimate : Smarts.estimate option
+        (** with the [Sampled] engine: the whole-run estimate, while
+            [result.stats] covers only the detailed stretches *)
+  }
+
+type pair =
+  { base : side;
+    exp : side;
+    speedup_pct : float
+        (** 100 * (base cycles / exp cycles - 1), from the estimates'
+            extrapolated cycles under the [Sampled] engine *)
+  }
+(** Plain data throughout (no closures, no tag stores): {!Sim} persists
+    it whole and fork-pool workers return it. *)
+
+val pair :
+  ?engine:engine ->
+  ?observe:observe ->
+  config:Config.t ->
+  bench ->
+  input:int ->
+  pair
+(** Simulate one REF input, baseline vs. transformed, on [config] with
+    [engine] (default [Detailed]) and [observe] (default
+    {!no_observers}). Raises [Failure] naming the bench, side, input,
+    width, predictor and engine if either run hits a run limit or its
+    architectural digest differs from the functional interpreter's, and
+    [Invalid_argument] for observers on a [Sampled] run (which takes
+    none). Not memoised; {!Sim.pair} is. *)
+
+val speedup_pct : float -> float -> float
+(** [speedup_pct base_cycles exp_cycles]: 100 * (base / max 1 exp - 1). *)
+
+val merged_acct : side list -> Acct.t
+(** {!Acct.merge} of the sides' accounting — cross-input aggregation.
+    Raises [Invalid_argument] on an empty list or a side run without
+    [observe.acct]. *)
+
+val pair_to_json : pair -> Bv_obs.Json.t
+(** Speedup plus both sides' {!Machine.result_to_json} (with the
+    ["sampled"] section under the [Sampled] engine), each followed by
+    what its observers collected: ["samples"], ["cpi_stack"] and
+    ["top_branches"]. *)
 
 type sim_summary =
   { sum_speedup_pct : float;
     sum_base : Stats.t;  (** baseline run's counters *)
     sum_exp : Stats.t
   }
-(** The marshal-safe essence of a {!sim_pair}: speedup plus both runs'
-    stat counters — everything the experiment tables read, none of the
-    hierarchy/config state {!Machine.result} drags along. This is the
-    payload {!Sim}'s DAG persists for simulation nodes. *)
+(** The essence of a {!pair} the experiment tables read: speedup plus
+    both runs' stat counters. *)
 
-val summarize : sim_pair -> sim_summary
-
-type instrumented =
-  { pair : sim_pair;
-    base_samples : Sampler.t;
-    exp_samples : Sampler.t;
-    base_acct : Acct.t;  (** cycle accounting of the baseline run *)
-    exp_acct : Acct.t
-  }
-
-val simulate_instrumented :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  ?sample_interval:int ->
-  ?on_base_event:(Machine.event -> unit) ->
-  ?on_exp_event:(Machine.event -> unit) ->
-  bench ->
-  input:int ->
-  width:int ->
-  instrumented
-(** Like {!simulate}, but with telemetry attached: interval samplers and
-    cycle accounting on both runs (window size [sample_interval],
-    {!Sampler.create}'s default otherwise) and optional pipeline-event
-    taps (e.g. {!Perfetto} collectors). Performs the same digest checks;
-    not memoised — hooks and samplers observe a fresh simulation every
-    call. *)
-
-type accounted =
-  { acc_base_cycles : int;
-    acc_exp_cycles : int;
-    acc_speedup_pct : float;
-    acc_base : Acct.t;
-    acc_exp : Acct.t
-  }
-(** The marshal-safe subset of an accounted baseline-vs-experimental run:
-    flat tables plus cycle totals, safe to return from a {!Sim.map}
-    fork-pool worker (unlike {!Machine.result}, it drags no cache
-    hierarchy or config along). *)
-
-val simulate_accounted :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  accounted
-(** Simulate one REF input at one width with cycle accounting on both
-    sides. Same digest checks as {!simulate}; not memoised. *)
-
-val merge_accounted : accounted -> accounted -> accounted
-(** Pointwise sum (cycles, attribution tables) with the speedup recomputed
-    from the summed cycle totals — cross-input aggregation. Raises
-    [Invalid_argument] when the two runs cover different code
-    ({!Acct.merge}). *)
-
-type sampled_pair =
-  { samp_base : Machine.sampled;
-    samp_exp : Machine.sampled;
-    samp_speedup_pct : float
-        (** from the extrapolated cycle estimates, not detailed cycles *)
-  }
-
-val simulate_sampled :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  ?params:Machine.sample_params ->
-  bench ->
-  input:int ->
-  width:int ->
-  sampled_pair
-(** {!Machine.run_sampled} on both sides of one REF input. Fast-forward
-    executes committed semantics, so the architectural digests are
-    checked against the interpreter exactly as {!simulate} does — only
-    the timing is an estimate. Not memoised. *)
-
-type sampled_summary =
-  { ss_speedup_pct : float;
-    ss_base : Smarts.estimate;  (** baseline extrapolation + CIs *)
-    ss_exp : Smarts.estimate
-  }
-(** The marshal-safe essence of a {!sampled_pair}: both whole-run
-    estimates (plain data throughout) and the speedup they imply. The
-    payload {!Sim}'s DAG persists for sample nodes. *)
-
-val summarize_sampled : sampled_pair -> sampled_summary
-
-type identity =
-  { idt_base_cycles : int;
-    idt_exp_cycles : int
-  }
-(** Marshal-safe witness of a passed compiled-vs-interpreted
-    byte-identity check (the cycle counts both paths agreed on). *)
-
-val compiled_identity :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  identity
-(** Run both sides of one REF input twice — block-compiled and
-    interpreted — and fail unless the full result JSON (stats, cache
-    hierarchy, digests) is byte-identical. The CI smoke leg and the
-    ["compiled"] DAG node route here. Not memoised. *)
+val summarize : pair -> sim_summary
 
 val advise :
   ?config:Bv_analysis.Advisor.config ->
@@ -217,16 +161,14 @@ type advice_checked =
     can come back from a {!Sim.map} fork-pool worker. *)
 
 val advise_validate :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
   ?config:Bv_analysis.Advisor.config ->
   ?interproc:bool ->
-  ?inputs:int list ->
   bench ->
-  width:int ->
+  pair list ->
   advice_checked
 (** {!advise}, then join the static cycles-saved ranking against measured
-    per-site recovery cycles from accounted baseline runs of the REF
-    [inputs] (default [[1]]; pass {!input_indices} for all of them,
-    merged) at [width]. The validation reports the Spearman rank
-    correlation and the sites whose static and measured ranks diverge. *)
+    per-site recovery cycles from the baseline sides of [pairs] (accounted
+    runs of one or more REF inputs, merged). The validation reports the
+    Spearman rank correlation and the sites whose static and measured
+    ranks diverge. Raises [Invalid_argument] when [pairs] is empty or ran
+    without accounting. *)

@@ -1,5 +1,4 @@
 open Bv_bpred
-open Bv_cache
 open Bv_pipeline
 open Bv_workloads
 
@@ -39,9 +38,9 @@ let counters_json t = Dag.counters_json t.dag
 
 (* The compile half of the pipeline: profile → select → transform, keyed
    by everything [Runner.prepare] depends on. The node's value is the
-   pure {!Runner.artifact}; live benches (with their memo tables) are
+   pure {!Runner.artifact}; live benches (with their image tables) are
    interned in [lab] under the node key, so every caller of an equally
-   parameterised prepare shares one bench and its simulation memo. *)
+   parameterised prepare shares one bench. *)
 let prepare_node ?(predictor = Kind.Tournament) ?(threshold = 0.05) ?max_hoist
     spec =
   Dag.node ~kind:"prepare" ~label:spec.Spec.name
@@ -56,123 +55,70 @@ let prepare ?predictor ?threshold ?max_hoist t spec =
   match Hashtbl.find_opt t.lab k with
   | Some b -> b
   | None ->
-    let b = Runner.import (Dag.eval t.dag n) in
+    let b = Runner.import ~origin:k (Dag.eval t.dag n) in
     Hashtbl.replace t.lab k b;
     b
 
 let bench t spec = prepare t spec
 
-(* ---- simulation ------------------------------------------------------- *)
+(* ---- paired runs ------------------------------------------------------ *)
 
-let simulate ?predictor ?cache (_ : t) b ~input ~width =
-  Runner.simulate ?predictor ?cache b ~input ~width
-
-(* One paired timing run, persisted as its marshal-safe summary. The
-   prepare node's key rides along as a dependency, so a pipeline change
-   that invalidates the compile half invalidates exactly this cone. *)
-let summary ?(predictor = Kind.Tournament) ?(cache = Hierarchy.default_config)
-    t spec ~input ~width =
-  let pn = prepare_node spec in
-  let n =
-    Dag.node ~kind:"sim"
-      ~label:
-        (Printf.sprintf "%s.i%d.w%d.%s" spec.Spec.name input width
-           (Kind.name predictor))
-      ~deps:[ Dag.key t.dag pn ]
-      ~inputs:(input, width, Kind.name predictor, cache, Runner.scale ())
-      (fun () ->
-        Runner.summarize
-          (Runner.simulate ~predictor ~cache (bench t spec) ~input ~width))
+(* One paired run. The prepare node's key rides along as a dependency,
+   so a pipeline change that invalidates the compile half invalidates
+   exactly this cone. Taps are closures, not data: they stay out of the
+   key, and a tapped run always simulates. *)
+let pair_node ?(engine = Runner.Detailed) ?(observe = Runner.no_observers)
+    ~config b ~input =
+  let origin =
+    match Runner.origin b with
+    | Some k -> k
+    | None -> invalid_arg "Sim.pair: the bench was not prepared by a session"
   in
-  Dag.eval t.dag n
-
-let avg_speedup ?predictor ?cache t spec ~width =
-  Agg.mean
-    (List.map
-       (fun input ->
-         (summary ?predictor ?cache t spec ~input ~width)
-           .Runner.sum_speedup_pct)
-       (Runner.input_indices ()))
-
-let best_speedup ?predictor ?cache t spec ~width =
-  Agg.max_or 0.0
-    (List.map
-       (fun input ->
-         (summary ?predictor ?cache t spec ~input ~width)
-           .Runner.sum_speedup_pct)
-       (Runner.input_indices ()))
-
-(* Sampled runs persist only the marshal-safe estimates; the params ride
-   in the key so changing the sampling regime misses cleanly. *)
-let sampled ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config)
-    ?(params = Machine.default_sample_params) t spec ~input ~width =
-  let pn = prepare_node spec in
-  let n =
-    Dag.node ~kind:"sample"
-      ~label:
-        (Printf.sprintf "%s.i%d.w%d.%s.p%d" spec.Spec.name input width
-           (Kind.name predictor) params.Machine.sp_period)
-      ~deps:[ Dag.key t.dag pn ]
-      ~inputs:
-        ( input,
-          width,
-          Kind.name predictor,
-          cache,
-          ( params.Machine.sp_period,
-            params.Machine.sp_detail,
-            params.Machine.sp_warmup ),
-          Runner.scale () )
-      (fun () ->
-        Runner.summarize_sampled
-          (Runner.simulate_sampled ~predictor ~cache ~params (bench t spec)
-             ~input ~width))
+  let label =
+    Printf.sprintf "%s.i%d.w%d.%s%s%s" (Runner.spec b).Spec.name input
+      config.Config.width
+      (Kind.name config.Config.predictor)
+      (match engine with
+      | Runner.Detailed -> ""
+      | Runner.Sampled p -> Printf.sprintf ".p%d" p.Machine.sp_period)
+      (if observe.Runner.acct then ".acct" else "")
   in
-  Dag.eval t.dag n
+  Dag.node ~kind:"sim" ~label ~deps:[ origin ]
+    ~inputs:
+      ( input,
+        engine,
+        (observe.Runner.acct, observe.Runner.windows),
+        config,
+        Runner.scale () )
+    (fun () -> Runner.pair ~engine ~observe ~config b ~input)
 
-(* A passed byte-identity check is itself a cacheable fact: the node
-   only ever stores a witness, never a divergence (those raise). *)
-let compiled_check ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) t spec ~input ~width =
-  let pn = prepare_node spec in
-  let n =
-    Dag.node ~kind:"compiled"
-      ~label:
-        (Printf.sprintf "%s.i%d.w%d.%s" spec.Spec.name input width
-           (Kind.name predictor))
-      ~deps:[ Dag.key t.dag pn ]
-      ~inputs:(input, width, Kind.name predictor, cache, Runner.scale ())
-      (fun () ->
-        Runner.compiled_identity ~predictor ~cache (bench t spec) ~input
-          ~width)
-  in
-  Dag.eval t.dag n
+let tapped = function Some { Runner.taps = Some _; _ } -> true | _ -> false
 
-(* Accounted runs profile-prepare with the same predictor they simulate
-   with (the report pipeline's convention). *)
-let accounted_node ~predictor ~cache t spec ~input ~width =
-  let pn = prepare_node ~predictor spec in
-  Dag.node ~kind:"account"
-    ~label:
-      (Printf.sprintf "%s.i%d.w%d.%s" spec.Spec.name input width
-         (Kind.name predictor))
-    ~deps:[ Dag.key t.dag pn ]
-    ~inputs:(input, width, Kind.name predictor, cache, Runner.scale ())
-    (fun () ->
-      Runner.simulate_accounted ~predictor ~cache
-        (prepare ~predictor t spec)
-        ~input ~width)
+let pair ?engine ?observe ~config t b ~input =
+  if tapped observe then Runner.pair ?engine ?observe ~config b ~input
+  else Dag.eval t.dag (pair_node ?engine ?observe ~config b ~input)
 
-let accounted ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) t spec ~input ~width =
-  Dag.eval t.dag (accounted_node ~predictor ~cache t spec ~input ~width)
-
-let accounted_list ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) t spec ~inputs ~width =
+let pairs ?engine ?observe ~config t b ~inputs =
+  if tapped observe then invalid_arg "Sim.pairs: tapped runs go through pair";
   Dag.eval_list ~jobs:t.jobs t.dag
-    (List.map
-       (fun input -> accounted_node ~predictor ~cache t spec ~input ~width)
-       inputs)
+    (List.map (fun input -> pair_node ?engine ?observe ~config b ~input) inputs)
+
+let summary ?predictor ?cache t spec ~input ~width =
+  Runner.summarize
+    (pair ~config:(Config.make ?predictor ?cache ~width ()) t (bench t spec)
+       ~input)
+
+let speedups ?predictor ?cache t b ~width =
+  let config = Config.make ?predictor ?cache ~width () in
+  List.map
+    (fun input -> (pair ~config t b ~input).Runner.speedup_pct)
+    (Runner.input_indices ())
+
+let avg_speedup ?predictor ?cache t b ~width =
+  Agg.mean (speedups ?predictor ?cache t b ~width)
+
+let best_speedup ?predictor ?cache t b ~width =
+  Agg.max_or 0.0 (speedups ?predictor ?cache t b ~width)
 
 (* ---- fan-out ---------------------------------------------------------- *)
 

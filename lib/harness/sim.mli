@@ -6,9 +6,9 @@
 
     Every stage is a DAG node content-hashed into the session's
     [BV_CACHE] store: prepare (profile → select → transform,
-    kind ["prepare"]), paired timing runs ({!summary}, kind ["sim"]),
-    accounted runs ({!accounted}, kind ["account"]) and arbitrary
-    fanned-out row work ({!dag_map}). A node is evaluated at most once
+    kind ["prepare"]), paired runs in every engine and with every
+    observer set ({!pair}, kind ["sim"]) and arbitrary fanned-out row
+    work ({!dag_map}). A node is evaluated at most once
     per store — re-runs hit, concurrent processes on one store
     cooperate via claim files, and {!counters_json} reports the
     hit/miss/stolen split for every [--json] emitter.
@@ -51,66 +51,46 @@ val prepare :
     predictor, threshold, hoist cap, workload scale and
     {!Dag.code_format}, so any input change misses cleanly. Live
     benches are interned per node key for the life of the session —
-    equally parameterised prepares share one bench and its simulation
-    memo. Bump {!Dag.code_format} when the compile pipeline's semantics
-    change. *)
+    equally parameterised prepares share one bench, which remembers the
+    node key as its {!Runner.origin}. *)
 
 val bench : t -> Spec.t -> Runner.bench
 (** Default-parameter {!prepare}. *)
 
-val simulate :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Runner.bench -> input:int -> width:int -> Runner.sim_pair
-(** Uncached-by-the-DAG passthrough to {!Runner.simulate} (a full
-    {!Machine.result} pair is not marshal-safe); memoised on the bench
-    as always. Use {!summary} when the stat counters suffice. *)
+val pair :
+  ?engine:Runner.engine -> ?observe:Runner.observe -> config:Config.t ->
+  t -> Runner.bench -> input:int -> Runner.pair
+(** {!Runner.pair} as a DAG node (kind ["sim"]), keyed by the input,
+    engine, observer set, [config], workload scale and — as its one
+    dependency — the prepare node [bench] came from, so a bench
+    prepared with a non-default predictor, threshold or hoist cap gets
+    its own runs. Raises [Invalid_argument] for a bench not obtained
+    from {!prepare}. A pair with event taps is simulated afresh every
+    call and never stored: a stored value cannot replay events. *)
+
+val pairs :
+  ?engine:Runner.engine -> ?observe:Runner.observe -> config:Config.t ->
+  t -> Runner.bench -> inputs:int list -> Runner.pair list
+(** The same nodes for several inputs, evaluated cooperatively across
+    the session's workers ({!Dag.eval_list}); results in input order.
+    Raises [Invalid_argument] for an [observe] with taps. *)
 
 val summary :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
   Spec.t -> input:int -> width:int -> Runner.sim_summary
-(** One paired timing run as a DAG node (kind ["sim"], dependent on the
-    default-parameter prepare node): speedup and both stat blocks,
-    persisted. The workhorse behind every experiment table. *)
+(** {!Runner.summarize} of the detailed, unobserved {!pair} of the
+    default-parameter bench: speedup and both stat blocks. The
+    workhorse behind every experiment table. *)
 
 val avg_speedup :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> width:int -> float
-(** Mean over REF inputs of the per-input {!summary} speedup (the
-    paper's "averaged over all reference inputs"). *)
+  Runner.bench -> width:int -> float
+(** Mean over REF inputs of the per-input {!pair} speedup (the paper's
+    "averaged over all reference inputs"). *)
 
 val best_speedup :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> width:int -> float
-
-val sampled :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config ->
-  ?params:Machine.sample_params -> t ->
-  Spec.t -> input:int -> width:int -> Runner.sampled_summary
-(** One SMARTS-sampled paired run as a DAG node (kind ["sample"],
-    keyed additionally by the sampling params): both whole-run
-    estimates with confidence intervals, persisted. *)
-
-val compiled_check :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> input:int -> width:int -> Runner.identity
-(** One compiled-vs-interpreted byte-identity check as a DAG node (kind
-    ["compiled"]). Raises on divergence — the store only ever holds
-    passed witnesses, so a cache hit is itself a proof the check passed
-    for this code format. *)
-
-val accounted :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> input:int -> width:int -> Runner.accounted
-(** One accounted paired run as a DAG node (kind ["account"]). The
-    bench is prepared with the same [predictor] it simulates with —
-    the report pipeline's convention. *)
-
-val accounted_list :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> inputs:int list -> width:int -> Runner.accounted list
-(** The same account nodes for several inputs, evaluated cooperatively
-    across the session's workers ({!Dag.eval_list}); results in input
-    order. *)
+  Runner.bench -> width:int -> float
 
 val dag_map :
   t -> kind:string -> ?label:('a -> string) -> ('a -> 'b) -> 'a list ->

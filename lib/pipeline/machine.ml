@@ -19,16 +19,11 @@ type result =
 
 let fnv_fold acc v = (acc lxor v) * 0x100000001B3 land max_int
 
-(* Block-compiled dispatch is on by default; BV_NO_COMPILE=1 (or the CLI
-   --no-compile flag, via [set_compile_default]) reverts every run to
-   the interpreted front end. Byte-identity between the two is a hard
-   invariant, so this is an escape hatch for debugging and for the
-   compiled-vs-interpreted CI leg, not a semantics switch. *)
-let compile_default =
-  ref
-    (match Sys.getenv_opt "BV_NO_COMPILE" with
-    | None | Some "" | Some "0" -> true
-    | Some _ -> false)
+(* Block-compiled dispatch is on by default. Byte-identity with the
+   interpreted front end is a hard invariant (test_compile, test_goldens),
+   so [set_compile_default] is a switch for benchmarks and tests that time
+   or compare the two, not a semantics switch. *)
+let compile_default = ref true
 
 let set_compile_default enabled = compile_default := enabled
 let compile_enabled () = !compile_default

@@ -47,9 +47,9 @@ type result =
 
 val set_compile_default : bool -> unit
 (** Set the process-wide default for block-compiled dispatch (initially
-    on, unless the [BV_NO_COMPILE] environment variable is set to a
-    non-empty value other than ["0"]). The CLI's [--no-compile] flag
-    routes here. Per-run [?compile] overrides win. *)
+    on). Per-run [?compile] overrides win. Benchmarks and tests that time
+    or compare the two dispatch paths use it; results are byte-identical
+    either way. *)
 
 val compile_enabled : unit -> bool
 (** The current process-wide compiled-dispatch default. *)

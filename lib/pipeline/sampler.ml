@@ -24,7 +24,9 @@ type t =
     mutable rev_windows : window list
   }
 
-let create ?(interval = 10_000) ?acct () =
+let default_interval = 10_000
+
+let create ?(interval = default_interval) ?acct () =
   if interval <= 0 then invalid_arg "Sampler.create: interval must be > 0";
   { interval;
     acct;

@@ -22,8 +22,11 @@ type window =
 
 type t
 
+val default_interval : int
+(** 10_000 cycles. *)
+
 val create : ?interval:int -> ?acct:Acct.t -> unit -> t
-(** [interval] defaults to 10_000 cycles. Raises [Invalid_argument] when
+(** [interval] defaults to {!default_interval}. Raises [Invalid_argument] when
     not positive. Pass the same [acct] given to [Machine.run] to record
     per-window CPI-stack deltas ([window.components], and a ["cpi"]
     object per window in {!to_json}). *)

@@ -166,7 +166,14 @@ let test_validate_golden_configs () =
   (* The acceptance bar: on the golden workloads the static cycles-saved
      ranking correlates positively with measured per-site recovery. *)
   let check_bench name b ~width ~min_joined =
-    let c = Runner.advise_validate ~inputs:(Runner.input_indices ()) b ~width in
+    let observe = { Runner.no_observers with Runner.acct = true } in
+    let config = Bv_pipeline.Config.make ~width () in
+    let c =
+      Runner.advise_validate b
+        (List.map
+           (fun input -> Runner.pair ~observe ~config b ~input)
+           (Runner.input_indices ()))
+    in
     Alcotest.(check bool)
       (name ^ ": enough sites joined")
       true

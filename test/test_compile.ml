@@ -4,8 +4,8 @@
      instructions, halts and I-cache line boundaries;
    - fuzzed byte-identity: on random structured programs, a compiled
      run's full JSON (every Stats counter, cache stats) and both
-     architectural digests equal the interpreted run's, across widths
-     and under runahead. *)
+     architectural digests equal the interpreted run's, across widths,
+     the tournament, TAGE and ISL-TAGE predictors, and under runahead. *)
 
 open Bv_ir
 open Bv_pipeline
@@ -55,6 +55,8 @@ let configs =
     [ two_wide;
       four_wide;
       eight_wide;
+      make ~predictor:Bv_bpred.Kind.Tage ~width:4 ();
+      make ~predictor:Bv_bpred.Kind.Isl_tage ~width:8 ();
       { (make ~predictor:Bv_bpred.Kind.Tage ~width:8 ()) with runahead = true }
     ]
 

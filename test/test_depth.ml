@@ -364,7 +364,11 @@ let test_cond_chase_raises_aspcb () =
         ~reps:4 ()
     in
     let b = Bv_harness.Runner.prepare spec in
-    let base = (Bv_harness.Runner.simulate b ~input:1 ~width:4).Bv_harness.Runner.base in
+    let config = Bv_pipeline.Config.make ~width:4 () in
+    let base =
+      (Bv_harness.Runner.pair ~config b ~input:1).Bv_harness.Runner.base
+        .Bv_harness.Runner.result
+    in
     Bv_harness.Metrics.aspcb b ~base
   in
   let with_chase = mk true and without = mk false in

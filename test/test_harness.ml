@@ -44,7 +44,8 @@ let test_prepare_and_metrics () =
   Alcotest.(check bool) "piscs positive" true (Runner.piscs b > 0.0);
   Alcotest.(check bool) "static grew" true
     (Runner.experimental_static b > Runner.baseline_static b);
-  let row = Metrics.table2_row b in
+  let sim = Sim.create () in
+  let row = Metrics.table2_row sim (Sim.bench sim tiny_spec) in
   Alcotest.(check bool) "pbc in range" true
     (row.Metrics.pbc > 0.0 && row.Metrics.pbc <= 100.0);
   Alcotest.(check bool) "phi in range" true
@@ -54,19 +55,64 @@ let test_prepare_and_metrics () =
     (row.Metrics.aspcb >= 4.0)
 
 let test_simulate_cross_checked () =
-  let b = Lazy.force bench in
-  let pair = Runner.simulate b ~input:1 ~width:4 in
+  let sim = Sim.create () in
+  let summary () = Sim.summary sim tiny_spec ~input:1 ~width:4 in
+  let first = summary () in
+  let before = Sim.counters sim in
+  let again = summary () in
+  let after = Sim.counters sim in
+  Alcotest.(check int) "repeat is a DAG hit" (before.Dag.hits + 1)
+    after.Dag.hits;
+  Alcotest.(check int) "repeat computes nothing" before.Dag.misses
+    after.Dag.misses;
+  Alcotest.(check bool) "same summary" true (first = again);
+  (* One bench, input and width in three modes: plain, accounted, and
+     sampled with one window spanning the whole run. Observers and the
+     degenerate sampling regime must not move a cycle. *)
+  let b = Sim.bench sim tiny_spec in
+  let config = Bv_pipeline.Config.make ~width:4 () in
+  let pair ?engine ?observe () =
+    Sim.pair ?engine ?observe ~config sim b ~input:1
+  in
+  let plain = pair () in
+  let accounted =
+    pair ~observe:{ Runner.no_observers with Runner.acct = true } ()
+  in
+  let whole = 1_000_000_000 in
+  let sampled =
+    pair
+      ~engine:
+        (Runner.Sampled
+           { Bv_pipeline.Machine.sp_period = whole;
+             sp_detail = whole;
+             sp_warmup = 0
+           })
+      ()
+  in
+  let cycles side =
+    side.Runner.result.Bv_pipeline.Machine.stats.Bv_pipeline.Stats.cycles
+  in
   Alcotest.(check bool) "both finished" true
-    (pair.Runner.base.Bv_pipeline.Machine.finished
-    && pair.Runner.exp.Bv_pipeline.Machine.finished);
-  (* memoisation returns the same physical result *)
-  let pair2 = Runner.simulate b ~input:1 ~width:4 in
-  Alcotest.(check bool) "memoised" true (pair == pair2)
+    (plain.Runner.base.Runner.result.Bv_pipeline.Machine.finished
+    && plain.Runner.exp.Runner.result.Bv_pipeline.Machine.finished);
+  List.iter
+    (fun (mode, p) ->
+      Alcotest.(check int) (mode ^ ": baseline cycles")
+        (cycles plain.Runner.base) (cycles p.Runner.base);
+      Alcotest.(check int) (mode ^ ": experimental cycles")
+        (cycles plain.Runner.exp) (cycles p.Runner.exp);
+      Alcotest.(check (float 1e-9)) (mode ^ ": speedup")
+        plain.Runner.speedup_pct p.Runner.speedup_pct)
+    [ ("accounted", accounted); ("sampled", sampled) ];
+  Alcotest.(check (float 0.0)) "summary speedup" plain.Runner.speedup_pct
+    first.Runner.sum_speedup_pct
 
 let test_best_ge_avg () =
-  let b = Lazy.force bench in
+  let sim = Sim.create () in
+  let b = Sim.bench sim tiny_spec in
   Alcotest.(check bool) "best >= avg" true
-    (Runner.best_speedup b ~width:4 >= Runner.avg_speedup b ~width:4 -. 1e-9)
+    (Sim.best_speedup sim b ~width:4
+    >= Sim.avg_speedup sim b ~width:4 -. 1e-9)
 
 let test_alpbb_known () =
   let open Bv_ir in
